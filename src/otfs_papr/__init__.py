@@ -15,8 +15,8 @@ from .errors import (CorruptedStateError, EqualizerError, InstanceTooLargeError,
                      UnsupportedModulationError)
 from .frame import (FrameParams, PskAlphabet, detect_symbol, detect_symbols,
                     map_bits_to_symbols, symbols_to_bits, validate_info_vector)
-from .metrics import (CcdfCurve, PaprSample, ccdf, default_thresholds_db,
-                      merge_samples, papr, papr_at_ccdf)
+from .metrics import (CcdfCurve, PaprSample, ccdf, default_thresholds_db, papr,
+                      papr_at_ccdf)
 from .modem import (demodulate, dense_synthesis_matrix, modulate,
                     modulate_oracle, time_frequency_grid)
 from .precoder import (GreedyConfig, PrecodeResult, brute_force_precode,

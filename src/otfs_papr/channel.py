@@ -62,11 +62,6 @@ def named_profile(name: str) -> PathProfile:
             f"unknown profile {name!r}; known: {sorted(_NAMED_PROFILES)}") from None
 
 
-def register_profile(name: str, profile: PathProfile):
-    """Make a profile resolvable by name (e.g. one loaded from a file)."""
-    _NAMED_PROFILES[name.lower()] = profile
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
     """One drawn channel: per-path complex gain, delay tap, Doppler (Hz)."""

@@ -7,9 +7,11 @@ flag.  All file output happens here, never in the library modules.
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment
+from .channel import PathProfile
 from .config import ExperimentConfig, config_from_mapping, parse_config_text
 from .errors import ParameterError
 
@@ -45,30 +47,19 @@ def _build_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         cfg = config_from_mapping(parse_config_text(Path(args.config).read_text()), cfg)
-    overrides = {}
-    for key in ("M", "N", "delta_f", "modulation", "amplitude", "method",
-                "frames", "seed", "snr_db_list", "nu_max_hz", "profile",
-                "max_iter", "mu", "clip_ratio_db", "icf_iterations",
-                "icf_oversample", "dft_axis", "output_path"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None}
     return config_from_mapping(overrides, cfg)
 
 
 def _load_profile_file(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "profile_file", None):
-        from dataclasses import replace
-
-        from .channel import PathProfile, register_profile
         mapping = parse_config_text(Path(args.profile_file).read_text())
         try:
             profile = PathProfile(tuple(mapping["delays_ns"]), tuple(mapping["powers_db"]))
         except KeyError as missing:
             raise ParameterError(f"profile file lacks key {missing}") from None
-        name = f"file:{args.profile_file}"
-        register_profile(name, profile)
-        cfg = replace(cfg, profile=name)
+        cfg = replace(cfg, profile=profile)
     return cfg
 
 
@@ -78,104 +69,56 @@ def _write(path: Path, text: str):
     print(f"wrote {path}")
 
 
-_PLOT_TEMPLATES = {
-    "ccdf": """\
+_PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
-\"\"\"Plot the CCDF curve written by `otfs-papr ccdf`.\"\"\"
-import sys
-import matplotlib.pyplot as plt
-import numpy as np
-
-path = sys.argv[1] if len(sys.argv) > 1 else {csv!r}
-rows = [line for line in open(path) if not line.startswith("#")]
-th, pr = np.loadtxt(rows[1:], delimiter=",", unpack=True)
-keep = pr > 0
-plt.semilogy(th[keep], pr[keep])
-plt.xlabel("PAPR threshold (dB)")
-plt.ylabel("P(PAPR > threshold)")
-plt.grid(True, which="both", alpha=0.3)
-plt.tight_layout()
-plt.show()
-""",
-    "error-rate": """\
-#!/usr/bin/env python3
-\"\"\"Plot SER vs SNR from `otfs-papr error-rate` output.\"\"\"
+\"\"\"Plot {ylabel} against {xlabel} from `otfs-papr {kind}` output.\"\"\"
 import csv
+import math
 import sys
 from collections import defaultdict
 import matplotlib.pyplot as plt
 
 path = sys.argv[1] if len(sys.argv) > 1 else {csv!r}
+XSCALE, YSCALE = {xscale!r}, {yscale!r}
 curves = defaultdict(list)
 with open(path) as fh:
-    rows = (r for r in fh if not r.startswith("#"))
-    for row in csv.DictReader(rows):
-        curves[row["method"]].append((float(row["snr_db"]), float(row["ser"])))
-for method, pts in curves.items():
-    pts.sort()
-    plt.semilogy(*zip(*pts), marker="o", label=method)
-plt.xlabel("SNR (dB)")
-plt.ylabel("SER")
-plt.legend()
+    for row in csv.DictReader(r for r in fh if not r.startswith("#")):
+        x = math.prod(float(row[c]) for c in {x!r})
+        curves[row.get("method", "")].append((x, float(row[{y!r}])))
+for method, pts in sorted(curves.items()):
+    if YSCALE == "log":  # a log axis cannot show zeros
+        pts = [p for p in pts if p[1] > 0]
+    plt.plot(*zip(*sorted(pts)), marker=".", label=method or None)
+plt.xscale(XSCALE)
+plt.yscale(YSCALE)
+plt.xlabel({xlabel!r})
+plt.ylabel({ylabel!r})
+if any(curves):
+    plt.legend()
 plt.grid(True, which="both", alpha=0.3)
 plt.tight_layout()
 plt.show()
-""",
-    "doppler-sweep": """\
-#!/usr/bin/env python3
-\"\"\"Plot SER vs maximum Doppler from `otfs-papr doppler-sweep` output.\"\"\"
-import csv
-import sys
-from collections import defaultdict
-import matplotlib.pyplot as plt
+"""
 
-path = sys.argv[1] if len(sys.argv) > 1 else {csv!r}
-curves = defaultdict(list)
-with open(path) as fh:
-    rows = (r for r in fh if not r.startswith("#"))
-    for row in csv.DictReader(rows):
-        curves[row["method"]].append((float(row["nu_max_hz"]), float(row["ser"])))
-for method, pts in curves.items():
-    pts.sort()
-    plt.semilogy(*zip(*pts), marker="o", label=method)
-plt.xlabel("maximum Doppler shift (Hz)")
-plt.ylabel("SER")
-plt.legend()
-plt.grid(True, which="both", alpha=0.3)
-plt.tight_layout()
-plt.show()
-""",
-    "scaling-table": """\
-#!/usr/bin/env python3
-\"\"\"Plot PAPR at CCDF 0.1 vs grid size from `otfs-papr scaling-table`.\"\"\"
-import csv
-import sys
-from collections import defaultdict
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else {csv!r}
-curves = defaultdict(list)
-with open(path) as fh:
-    rows = (r for r in fh if not r.startswith("#"))
-    for row in csv.DictReader(rows):
-        size = int(row["M"]) * int(row["N"])
-        curves[row["method"]].append((size, float(row["papr_db_at_ccdf_0p1"])))
-for method, pts in curves.items():
-    pts.sort()
-    plt.semilogx(*zip(*pts), base=2, marker="o", label=method)
-plt.xlabel("frame size M*N")
-plt.ylabel("PAPR at CCDF 0.1 (dB)")
-plt.legend()
-plt.grid(True, which="both", alpha=0.3)
-plt.tight_layout()
-plt.show()
-""",
+# Per subcommand: the CSV columns whose product is x, the y column, the
+# x and y axis scales and labels.
+_PLOTS = {
+    "ccdf": (("threshold_db",), "ccdf", "linear", "log",
+             "PAPR threshold (dB)", "P(PAPR > threshold)"),
+    "error-rate": (("snr_db",), "ser", "linear", "log", "SNR (dB)", "SER"),
+    "doppler-sweep": (("nu_max_hz",), "ser", "linear", "log",
+                      "maximum Doppler shift (Hz)", "SER"),
+    "scaling-table": (("M", "N"), "papr_db_at_ccdf_0p1", "log", "linear",
+                      "frame size M*N", "PAPR at CCDF 0.1 (dB)"),
 }
 
 
 def _maybe_write_plot_script(args, kind: str, csv_path: Path):
     if getattr(args, "plot_script", False):
-        script = _PLOT_TEMPLATES[kind].format(csv=str(csv_path))
+        x, y, xscale, yscale, xlabel, ylabel = _PLOTS[kind]
+        script = _PLOT_TEMPLATE.format(
+            kind=kind, csv=str(csv_path), x=x, y=y, xscale=xscale,
+            yscale=yscale, xlabel=xlabel, ylabel=ylabel)
         _write(csv_path.with_suffix(".plot.py"), script)
 
 

@@ -8,6 +8,8 @@ by the same-named CLI flag.
 
 from dataclasses import dataclass, fields, replace
 
+from .baselines import DftSpreadConfig
+from .channel import PathProfile, named_profile
 from .errors import ParameterError
 
 METHODS = ("none", "proposed", "companding", "icf", "dft")
@@ -20,6 +22,9 @@ class ExperimentConfig:
     max_iter = 0 lets the greedy precoder run to its natural
     no-improvement stop, which is what reproduces the reference CCDF
     numbers; a positive value caps the number of search passes.
+
+    profile is a named profile, "identity" (a deterministic unit-gain
+    path) or a PathProfile, such as one loaded from a profile file.
     """
 
     M: int = 16
@@ -32,7 +37,7 @@ class ExperimentConfig:
     seed: int = 1
     snr_db_list: tuple = ()
     nu_max_hz: float = 300.0
-    profile: str = "etu300"
+    profile: str | PathProfile = "etu300"
     max_iter: int = 0
     mu: float = 4.0
     clip_ratio_db: float = 4.0
@@ -51,11 +56,24 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ParameterError(f"unknown method {m!r}; known: {METHODS}")
+        self.path_profile()  # raises on an unknown profile
+        DftSpreadConfig(axis=self.dft_axis)  # raises on an unknown axis
 
     @property
     def methods(self) -> tuple:
         """Comma-separated method field split into individual methods."""
         return tuple(m.strip() for m in self.method.split(",") if m.strip())
+
+    def path_profile(self) -> PathProfile | None:
+        """The channel's path profile; None for the identity channel."""
+        if isinstance(self.profile, PathProfile):
+            return self.profile
+        if not isinstance(self.profile, str):
+            raise ParameterError(f"profile must be a name or a PathProfile, "
+                                 f"got {self.profile!r}")
+        if self.profile.lower() == "identity":
+            return None
+        return named_profile(self.profile)
 
 
 def _parse_value(text: str):
@@ -122,12 +140,18 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig = None) -> Experim
     return replace(base, **updates)
 
 
+def _list(values) -> str:
+    return "[" + ",".join(f"{x:.10g}" for x in values) + "]"
+
+
 def config_summary(cfg: ExperimentConfig) -> str:
     """Single-line deterministic key=value echo for output metadata."""
     parts = []
     for f in fields(ExperimentConfig):
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
-            v = "[" + ",".join(f"{x:.10g}" for x in v) + "]"
+            v = _list(v)
+        elif isinstance(v, PathProfile):
+            v = f"PathProfile(delays_ns={_list(v.delays_ns)},powers_db={_list(v.powers_db)})"
         parts.append(f"{f.name}={v}")
     return " ".join(parts)

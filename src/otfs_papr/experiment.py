@@ -3,8 +3,9 @@
 Runners are pure with respect to the filesystem; the CLI writes the
 rendered CSV text.  Every frame draws from its own RNG substream keyed
 by (seed, sweep-point index, frame index), so results do not depend on
-execution order and different methods see identical frames, channels
-and noise.
+execution order.  The loop is frame-major: each frame, and its channel
+and noise, is drawn once and every method runs on it, so methods are
+compared on identical frames, channels and noise.
 """
 
 import datetime
@@ -15,9 +16,8 @@ import numpy as np
 from . import __version__
 from .baselines import (CompandingConfig, DftSpreadConfig, IcfConfig, clip_count,
                         dft_despread, dft_spread, icf, mu_compand, mu_expand)
-from .channel import (PathProfile, add_awgn, apply_channel, calibrate_noise,
-                      effective_dd_matrix, identity_channel, named_profile,
-                      sample_channel)
+from .channel import (add_awgn, apply_channel, calibrate_noise,
+                      effective_dd_matrix, identity_channel, sample_channel)
 from .config import ExperimentConfig, config_summary
 from .errors import EqualizerError, ParameterError
 from .frame import FrameParams, PskAlphabet, detect_symbols, map_bits_to_symbols
@@ -51,18 +51,21 @@ def _greedy_config(cfg: ExperimentConfig) -> GreedyConfig:
     return GreedyConfig(max_iter=None if cfg.max_iter == 0 else cfg.max_iter)
 
 
-def _profile(cfg: ExperimentConfig) -> PathProfile | None:
-    """None signals the deterministic identity channel."""
-    if cfg.profile.lower() == "identity":
-        return None
-    return named_profile(cfg.profile)
-
-
 def draw_info_vector(cfg: ExperimentConfig, params: FrameParams,
                      alphabet: PskAlphabet, rng: np.random.Generator):
     """Random information bits and their mapped symbol vector."""
     bits = rng.integers(0, 2, params.size * alphabet.bits_per_symbol)
     return bits, map_bits_to_symbols(bits, alphabet, params)
+
+
+def _frames(cfg: ExperimentConfig, params: FrameParams, *point: int):
+    """Yield (substream, information vector) for each frame at one sweep
+    point; the caller runs every method on the frame before the next."""
+    alphabet = _alphabet(cfg)
+    for f in range(cfg.frames):
+        rng = frame_rng(cfg.seed, *point, f)
+        _, u = draw_info_vector(cfg, params, alphabet, rng)
+        yield rng, u
 
 
 @dataclass(frozen=True)
@@ -110,16 +113,27 @@ class CcdfResult:
     papr_at_targets: dict
 
 
+def _papr_samples(cfg: ExperimentConfig, params: FrameParams, methods,
+                  *point: int) -> np.ndarray:
+    """PAPR (dB) of every frame at one sweep point, one row per method."""
+    samples = np.empty((len(methods), cfg.frames))
+    for f, (_, u) in enumerate(_frames(cfg, params, *point)):
+        for i, method in enumerate(methods):
+            samples[i, f] = papr(transmit(u, method, cfg, params).s).value_db
+    return samples
+
+
 def run_ccdf(cfg: ExperimentConfig, method: str = None) -> CcdfResult:
-    """PAPR of `frames` random frames under one method, with its CCDF."""
-    method = cfg.methods[0] if method is None else method
-    params = _frame_params(cfg)
-    alphabet = _alphabet(cfg)
-    samples = np.empty(cfg.frames)
-    for f in range(cfg.frames):
-        rng = frame_rng(cfg.seed, f)
-        _, u = draw_info_vector(cfg, params, alphabet, rng)
-        samples[f] = papr(transmit(u, method, cfg, params).s).value_db
+    """PAPR of `frames` random frames under one method, with its CCDF.
+
+    Without `method`, the config must name exactly one method.
+    """
+    if method is None:
+        if len(cfg.methods) != 1:
+            raise ParameterError(
+                f"ccdf takes exactly one method, got {cfg.method!r}")
+        method = cfg.methods[0]
+    samples = _papr_samples(cfg, _frame_params(cfg), (method,))[0]
     curve = ccdf(samples)
     targets = {t: papr_at_ccdf(samples, t) for t in CCDF_TARGETS}
     return CcdfResult(config=cfg, method=method, samples_db=samples,
@@ -147,62 +161,69 @@ class ErrorRateResult:
     points: list = field(default_factory=list)
 
 
-def _run_error_point(cfg: ExperimentConfig, method: str, snr_db: float,
-                     nu_max: float, point_idx: int) -> ErrorRatePoint:
+def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
+                  point_idx: int) -> list:
+    """One ErrorRatePoint per configured method at one (SNR, Doppler) point.
+
+    Each frame's channel and its DD-domain matrix are drawn and built
+    once, and every method gets the same unit noise draw, scaled to its
+    own received power.
+    """
     params = _frame_params(cfg)
     alphabet = _alphabet(cfg)
-    profile = _profile(cfg)
+    profile = cfg.path_profile()
     comp_cfg = CompandingConfig(mu=cfg.mu)
     dft_cfg = DftSpreadConfig(axis=cfg.dft_axis)
-    counts = ErrorCounts(0, 0, 0, 0)
-    skipped = 0
-    clips = 0
-    for f in range(cfg.frames):
-        rng = frame_rng(cfg.seed, point_idx, f)
-        _, u = draw_info_vector(cfg, params, alphabet, rng)
+    methods = cfg.methods
+    counts = [ErrorCounts(0, 0, 0, 0)] * len(methods)
+    skipped = [0] * len(methods)
+    clips = [0] * len(methods)
+    for rng, u in _frames(cfg, params, point_idx):
         truth = detect_symbols(u, alphabet)
-        tx = transmit(u, method, cfg, params)
         if profile is None:
             ch = identity_channel()
         else:
             ch = sample_channel(profile, nu_max, params, rng)
-        r0 = apply_channel(tx.s, ch, params)
-        sigma2 = calibrate_noise(snr_db, r0)
-        r = add_awgn(r0, sigma2, rng)
-        if method == "companding":
-            clips += clip_count(r, tx.peak_reference)
-            r = mu_expand(r, comp_cfg, tx.peak_reference)
-        y = demodulate(r, params)
         H = effective_dd_matrix(ch, params)
-        try:
-            x_hat = mmse_equalize(EqualizerInput(
-                y=y, H_eff=H, sigma2_dd=dd_noise_variance(sigma2, params),
-                Es=alphabet.A ** 2))
-        except EqualizerError:
-            skipped += 1
-            continue
-        if method == "dft":
-            x_hat = dft_despread(x_hat, dft_cfg, params)
-        counts = counts + count_errors(detect_symbols(x_hat, alphabet), truth,
-                                       alphabet.D)
-    return ErrorRatePoint(method=method, snr_db=snr_db, nu_max_hz=nu_max,
-                          frames=cfg.frames - skipped, counts=counts,
-                          skipped_frames=skipped, expander_clips=clips)
+        noise_state = rng.bit_generator.state
+        for i, method in enumerate(methods):
+            tx = transmit(u, method, cfg, params)
+            r0 = apply_channel(tx.s, ch, params)
+            sigma2 = calibrate_noise(snr_db, r0)
+            rng.bit_generator.state = noise_state  # same unit noise per method
+            r = add_awgn(r0, sigma2, rng)
+            if method == "companding":
+                clips[i] += clip_count(r, tx.peak_reference)
+                r = mu_expand(r, comp_cfg, tx.peak_reference)
+            try:
+                x_hat = mmse_equalize(EqualizerInput(
+                    y=demodulate(r, params), H_eff=H,
+                    sigma2_dd=dd_noise_variance(sigma2, params),
+                    Es=alphabet.A ** 2))
+            except EqualizerError:
+                skipped[i] += 1
+                continue
+            if method == "dft":
+                x_hat = dft_despread(x_hat, dft_cfg, params)
+            counts[i] = counts[i] + count_errors(detect_symbols(x_hat, alphabet),
+                                                 truth, alphabet.D)
+    return [ErrorRatePoint(method=method, snr_db=snr_db, nu_max_hz=nu_max,
+                           frames=cfg.frames - skipped[i], counts=counts[i],
+                           skipped_frames=skipped[i], expander_clips=clips[i])
+            for i, method in enumerate(methods)]
 
 
 def run_error_rate(cfg: ExperimentConfig) -> ErrorRateResult:
     """SER/BER over the configured SNR grid for each configured method.
 
-    Methods share RNG substreams, so they are compared on identical
-    information vectors, channel draws and noise.
+    Methods are compared on identical information vectors, channel
+    draws and noise.
     """
     if not cfg.snr_db_list:
         raise ParameterError("snr_db_list must be non-empty for error-rate runs")
     points = []
     for point_idx, snr_db in enumerate(cfg.snr_db_list):
-        for method in cfg.methods:
-            points.append(_run_error_point(cfg, method, float(snr_db),
-                                           cfg.nu_max_hz, point_idx))
+        points += _error_points(cfg, float(snr_db), cfg.nu_max_hz, point_idx)
     return ErrorRateResult(config=cfg, points=points)
 
 
@@ -212,9 +233,7 @@ def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None,
     nus = DOPPLER_SWEEP_DEFAULT_HZ if nu_max_list is None else tuple(nu_max_list)
     points = []
     for point_idx, nu in enumerate(nus):
-        for method in cfg.methods:
-            points.append(_run_error_point(cfg, method, snr_db, float(nu),
-                                           point_idx))
+        points += _error_points(cfg, snr_db, float(nu), point_idx)
     return ErrorRateResult(config=cfg, points=points)
 
 
@@ -249,16 +268,10 @@ def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> Scal
     for grid_idx, value in enumerate(values):
         sized = replace(cfg, M=int(value) if sweep_m is not None else cfg.M,
                         N=int(value) if sweep_n is not None else cfg.N)
-        params = _frame_params(sized)
-        alphabet = _alphabet(sized)
-        for method in cfg.methods:
-            samples = np.empty(cfg.frames)
-            for f in range(cfg.frames):
-                rng = frame_rng(cfg.seed, grid_idx, f)
-                _, u = draw_info_vector(sized, params, alphabet, rng)
-                samples[f] = papr(transmit(u, method, sized, params).s).value_db
-            rows.append(ScalingRow(M=sized.M, N=sized.N, method=method,
-                                   papr_db_at_ccdf_0p1=papr_at_ccdf(samples, 0.1)))
+        samples = _papr_samples(sized, _frame_params(sized), cfg.methods, grid_idx)
+        rows += [ScalingRow(M=sized.M, N=sized.N, method=method,
+                            papr_db_at_ccdf_0p1=papr_at_ccdf(row, 0.1))
+                 for method, row in zip(cfg.methods, samples)]
     return ScalingResult(config=cfg, rows=rows)
 
 

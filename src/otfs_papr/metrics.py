@@ -74,8 +74,3 @@ def papr_at_ccdf(samples_db, target: float, thresholds_db=None) -> float:
     if c1 == c0:
         return float(th[i])
     return float(th[i - 1] + (th[i] - th[i - 1]) * (c1 - target) / (c1 - c0))
-
-
-def merge_samples(*batches) -> np.ndarray:
-    """Deterministic (sorted) merge of PAPR sample batches from workers."""
-    return np.sort(np.concatenate([np.asarray(b, float) for b in batches]))

@@ -8,7 +8,7 @@ from otfs_papr import (ETU300_PROFILE, ChannelRealization, FrameParams,
                        calibrate_noise, demodulate, effective_dd_matrix,
                        identity_channel, modulate, named_profile,
                        sample_channel)
-from otfs_papr.channel import register_profile, time_domain_matrix
+from otfs_papr.channel import time_domain_matrix
 
 
 def fixed_channel(gains, taps, dopplers):
@@ -32,10 +32,6 @@ class TestPathProfile:
             PathProfile((-5.0,), (0.0,))
         with pytest.raises(ParameterError):
             named_profile("nosuch")
-
-    def test_register_profile(self):
-        register_profile("two-tap-test", PathProfile((0.0, 1000.0), (0.0, -3.0)))
-        assert named_profile("two-tap-test").n_paths == 2
 
 
 class TestSampleChannel:

@@ -1,14 +1,24 @@
 """CLI surface: subcommands, config files, overrides, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import otfs_papr
 
 CLI = [sys.executable, "-m", "otfs_papr.cli"]
+# The child imports the package from where this process found it.
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    str(Path(otfs_papr.__file__).resolve().parent.parent),
+    os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(*args, stdin_text=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          input=stdin_text)
+                          input=stdin_text, env=ENV)
 
 
 def body_of(path):
@@ -44,14 +54,45 @@ class TestCcdfCommand:
         assert r.returncode == 0, r.stderr
         assert len(body_of(tmp_path / "c.samples.csv").splitlines()) == 1 + 4
 
-    def test_plot_script_emission(self, tmp_path):
-        out = tmp_path / "p"
-        r = run_cli("ccdf", "--M", "4", "--N", "4", "--frames", "5",
-                    "--output", str(out), "--plot-script")
-        assert r.returncode == 0, r.stderr
-        script = tmp_path / "p.curve.plot.py"
-        assert script.exists()
-        compile(script.read_text(), str(script), "exec")
+    def test_single_method_required(self, tmp_path):
+        r = run_cli("ccdf", "--M", "4", "--N", "4", "--frames", "2",
+                    "--method", "none,proposed", "--output", str(tmp_path / "m"))
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert not (tmp_path / "m.samples.csv").exists()
+
+    def test_unknown_profile_fails_cleanly(self, tmp_path):
+        r = run_cli("ccdf", "--M", "4", "--N", "4", "--frames", "2",
+                    "--profile", "nosuch", "--output", str(tmp_path / "u"))
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+
+
+# subcommand: (its extra arguments, suffix of the CSV the script plots,
+# the x and y columns of that CSV)
+PLOTS = {
+    "ccdf": ((), ".curve.csv", "threshold_db", "ccdf"),
+    "error-rate": (("--snr-db-list", "20"), ".csv", "snr_db", "ser"),
+    "doppler-sweep": (("--nu-max-list", "0,600"), ".csv", "nu_max_hz", "ser"),
+    "scaling-table": (("--sweep-m", "2,4"), ".csv", "M", "papr_db_at_ccdf_0p1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PLOTS))
+def test_plot_script_emission(tmp_path, command):
+    extra, suffix, x, y = PLOTS[command]
+    r = run_cli(command, "--M", "4", "--N", "4", "--frames", "3",
+                *extra, "--output", str(tmp_path / "p"), "--plot-script")
+    assert r.returncode == 0, r.stderr
+    csv_path = tmp_path / f"p{suffix}"
+    script = csv_path.with_suffix(".plot.py")
+    text = script.read_text()
+    compile(text, str(script), "exec")
+    columns = body_of(csv_path).splitlines()[0].split(",")
+    for column in (x, y):
+        assert column in columns
+        assert repr(column) in text
+    assert repr(str(csv_path)) in text
 
 
 class TestErrorRateCommand:
@@ -123,6 +164,8 @@ class TestProfileFile:
                     "--snr-db-list", "20", "--profile-file", str(prof),
                     "--method", "none", "--output", str(out))
         assert r.returncode == 0, r.stderr
+        assert "profile=PathProfile(delays_ns=[0,1000],powers_db=[0,-3])" \
+            in (tmp_path / "pf.csv").read_text()
 
     def test_profile_file_missing_key(self, tmp_path):
         prof = tmp_path / "prof.cfg"

@@ -2,8 +2,8 @@
 
 import pytest
 
-from otfs_papr import (ExperimentConfig, ParameterError, config_from_mapping,
-                       parse_config_text)
+from otfs_papr import (ETU300_PROFILE, ExperimentConfig, ParameterError,
+                       PathProfile, config_from_mapping, parse_config_text)
 from otfs_papr.config import config_summary
 
 SAMPLE = """
@@ -83,7 +83,29 @@ class TestConfigConstruction:
         with pytest.raises(ParameterError):
             ExperimentConfig(max_iter=-1)
 
+    def test_profile_validation(self):
+        for name in ("etu300", "single-path", "identity", "Identity"):
+            assert ExperimentConfig(profile=name).profile == name
+        two_tap = PathProfile((0.0, 1000.0), (0.0, -3.0))
+        assert ExperimentConfig(profile=two_tap).profile is two_tap
+        with pytest.raises(ParameterError):
+            ExperimentConfig(profile="nosuch")
+        with pytest.raises(ParameterError):
+            ExperimentConfig(profile=ETU300_PROFILE.delays_ns)
+        with pytest.raises(ParameterError):
+            config_from_mapping(parse_config_text('profile = "nosuch"\n'))
+
+    def test_dft_axis_validation(self):
+        assert ExperimentConfig(dft_axis="doppler").dft_axis == "doppler"
+        with pytest.raises(ParameterError):
+            ExperimentConfig(dft_axis="diag")
+        with pytest.raises(ParameterError):
+            config_from_mapping(parse_config_text('method = "none"\ndft_axis = "diag"\n'))
+
     def test_summary_is_deterministic(self):
         cfg = ExperimentConfig(snr_db_list=(1.0, 2.0))
         assert config_summary(cfg) == config_summary(cfg)
         assert "snr_db_list=[1,2]" in config_summary(cfg)
+        cfg = ExperimentConfig(profile=PathProfile((0.0, 1000.0), (0.0, -3.0)))
+        assert "profile=PathProfile(delays_ns=[0,1000],powers_db=[0,-3]) " \
+            in config_summary(cfg)

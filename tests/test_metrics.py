@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from otfs_papr import (FrameParams, ParameterError, UndefinedPaprError, ccdf,
-                       default_thresholds_db, merge_samples, modulate, papr,
-                       papr_at_ccdf)
+                       default_thresholds_db, modulate, papr, papr_at_ccdf)
 
 
 class TestPapr:
@@ -97,10 +96,3 @@ class TestCcdfReadout:
     def test_rejects_unusable_targets(self):
         with pytest.raises(ParameterError):
             papr_at_ccdf([1.0, 2.0], 0.0)
-
-
-def test_merge_samples_is_sorted_and_order_independent():
-    a, b = [3.0, 1.0], [2.0, 4.0]
-    merged = merge_samples(a, b)
-    assert np.array_equal(merged, [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(merged, merge_samples(b, a))
