@@ -13,8 +13,8 @@ from .config import ExperimentConfig, config_from_mapping, parse_config_text
 from .errors import (CorruptedStateError, EqualizerError, InstanceTooLargeError,
                      ParameterError, UndefinedPaprError,
                      UnsupportedModulationError)
-from .frame import (FrameParams, PskAlphabet, detect_symbol, detect_symbols,
-                    map_bits_to_symbols, symbols_to_bits, validate_info_vector)
+from .frame import (FrameParams, PskAlphabet, detect_symbols,
+                    map_bits_to_symbols, symbols_to_bits)
 from .metrics import (CcdfCurve, PaprSample, ccdf, default_thresholds_db, papr,
                       papr_at_ccdf)
 from .modem import (demodulate, dense_synthesis_matrix, modulate,

@@ -8,9 +8,10 @@ by the same-named CLI flag.
 
 from dataclasses import dataclass, fields, replace
 
-from .baselines import DftSpreadConfig
+from .baselines import CompandingConfig, DftSpreadConfig, IcfConfig
 from .channel import PathProfile, named_profile
 from .errors import ParameterError
+from .frame import FrameParams, PskAlphabet
 
 METHODS = ("none", "proposed", "companding", "icf", "dft")
 
@@ -49,7 +50,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.frames < 1:
             raise ParameterError(f"frames must be >= 1, got {self.frames}")
-        if self.max_iter < 0:
+        if self.max_iter < 0:  # every value >= 0 gives a valid GreedyConfig
             raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
         if not self.methods:
             raise ParameterError("method must name at least one method")
@@ -57,7 +58,13 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ParameterError(f"unknown method {m!r}; known: {METHODS}")
         self.path_profile()  # raises on an unknown profile
-        DftSpreadConfig(axis=self.dft_axis)  # raises on an unknown axis
+        # Each stage's own validator, so a bad value fails before any frame.
+        FrameParams(M=self.M, N=self.N, delta_f=self.delta_f)
+        PskAlphabet(D=self.modulation, A=self.amplitude).bits_per_symbol
+        CompandingConfig(mu=self.mu)
+        IcfConfig(clip_ratio_db=self.clip_ratio_db, iterations=self.icf_iterations,
+                  oversample_factor=self.icf_oversample)
+        DftSpreadConfig(axis=self.dft_axis)
 
     @property
     def methods(self) -> tuple:

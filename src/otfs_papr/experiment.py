@@ -264,10 +264,12 @@ def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> Scal
     if (sweep_m is None) == (sweep_n is None):
         raise ParameterError("provide exactly one of sweep_m or sweep_n")
     values = sweep_m if sweep_m is not None else sweep_n
+    # Every grid size is validated before the first frame runs.
+    sized_cfgs = [replace(cfg, M=int(value) if sweep_m is not None else cfg.M,
+                          N=int(value) if sweep_n is not None else cfg.N)
+                  for value in values]
     rows = []
-    for grid_idx, value in enumerate(values):
-        sized = replace(cfg, M=int(value) if sweep_m is not None else cfg.M,
-                        N=int(value) if sweep_n is not None else cfg.N)
+    for grid_idx, sized in enumerate(sized_cfgs):
         samples = _papr_samples(sized, _frame_params(sized), cfg.methods, grid_idx)
         rows += [ScalingRow(M=sized.M, N=sized.N, method=method,
                             papr_db_at_ccdf_0p1=papr_at_ccdf(row, 0.1))

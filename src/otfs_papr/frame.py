@@ -47,7 +47,7 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class PskAlphabet:
-    """D-ary PSK ring of amplitude A: symbol(p) = A*exp(2j*pi*p/D)."""
+    """D-ary PSK ring of amplitude A: symbol p is A*exp(2j*pi*p/D)."""
 
     D: int
     A: float = 1.0
@@ -57,9 +57,6 @@ class PskAlphabet:
             raise ParameterError(f"modulation order must be >= 2, got {self.D}")
         if not self.A > 0:
             raise ParameterError(f"amplitude must be positive, got {self.A}")
-
-    def symbol(self, p: int) -> complex:
-        return self.A * np.exp(2j * np.pi * (p % self.D) / self.D)
 
     def symbols(self) -> np.ndarray:
         return self.A * np.exp(2j * np.pi * np.arange(self.D) / self.D)
@@ -117,37 +114,14 @@ def symbols_to_bits(indices, alphabet: PskAlphabet) -> np.ndarray:
     return ((labels[:, None] >> shifts) & 1).reshape(-1)
 
 
-def detect_symbol(z: complex, alphabet: PskAlphabet) -> int:
-    """Phase-only detection: p = round(D*arg(z)/2pi) mod D.
+def detect_symbols(z, alphabet: PskAlphabet) -> np.ndarray:
+    """Phase-only detection: p = round(D*arg(z)/2pi) mod D, elementwise.
 
     Amplitude is ignored.  z == 0 has no phase; index 0 is returned as a
     fixed tie-break.
     """
-    if not np.isfinite(z):
-        raise ParameterError(f"cannot detect non-finite value {z}")
-    if z == 0:
-        return 0
-    return int(np.rint(alphabet.D * np.angle(z) / (2 * np.pi))) % alphabet.D
-
-
-def detect_symbols(z, alphabet: PskAlphabet) -> np.ndarray:
-    """Vectorized detect_symbol over an array."""
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ParameterError("cannot detect non-finite values")
     p = np.rint(alphabet.D * np.angle(z) / (2 * np.pi)).astype(np.int64) % alphabet.D
     return np.where(z == 0, 0, p)
-
-
-def validate_info_vector(u, alphabet: PskAlphabet, params: FrameParams,
-                         tol: float = 1e-12) -> np.ndarray:
-    """Check that u holds M*N symbols drawn from the alphabet ring."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {u.shape}")
-    if np.any(np.abs(np.abs(u) - alphabet.A) > tol * max(alphabet.A, 1.0)):
-        raise ParameterError("symbol amplitudes differ from the alphabet amplitude")
-    phase_idx = alphabet.D * np.angle(u) / (2 * np.pi)
-    if np.any(np.abs(phase_idx - np.rint(phase_idx)) > tol):
-        raise ParameterError("symbol phases are not on the PSK grid")
-    return u

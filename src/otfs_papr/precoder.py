@@ -7,12 +7,15 @@ evaluates all MN single-symbol amplitude flips of the current vector,
 commits the one that lowers the frame PAPR the most, and stops when no
 single flip improves (or when an iteration cap is hit).
 
-The candidate PAPRs inside one pass are computed incrementally: a flip
-at flat index t = k*M + l changes only delay bin l of the time frame,
-by delta * exp(-2j*pi*n*k/N).  Cached per-column candidate statistics
-make one pass O(MN + N^2) instead of MN full transforms; the committed
-state is always re-derived from a fresh full transform so the reported
-PAPR is exactly papr(modulate(x_star)).
+The search keeps one state per delay column l: the power of column l
+of the time frame and, for each candidate flip in that column, the max
+and sum of the column's power after the flip.  A flip at flat index
+t = k*M + l changes only column l, by delta * exp(-2j*pi*n*k/N), so one
+pass reads all MN candidate PAPRs off this state in O(MN), and each
+commit costs one N-point column FFT plus an N x N candidate refresh of
+column l.  An N-point FFT of a column equals that column of the full
+transform bit for bit, so the committed PAPR, read off the refreshed
+power grid, is exactly papr(modulate(x_star)).
 """
 
 from dataclasses import dataclass, field
@@ -76,20 +79,16 @@ def candidate_flip(x, t: int, A: float) -> np.ndarray:
     return x
 
 
-def _column_candidate_stats(s_col, delta_col, W):
-    """Per-candidate max and sum of |s_col + delta*W_col|^2 for one delay bin."""
-    cand = s_col[:, None] + W * delta_col[None, :]
-    cpw = np.abs(cand) ** 2
-    return cpw.max(axis=0), cpw.sum(axis=0)
+def _column_stats(x_cols, delta_cols, W):
+    """Power of the transformed delay columns x_cols (N, L), and per
+    candidate flip (k, l) the max and sum of column l's power after it.
 
-
-def _frame_power_stats(x, params):
-    """Fresh transform of x and the derived power bookkeeping."""
-    s_grid = np.fft.fft(x.reshape(params.N, params.M), axis=0)
-    p_flat = np.abs(s_grid.reshape(params.size)) ** 2
-    p_official = float(params.size * p_flat.max() / p_flat.sum())
-    pw = p_flat.reshape(params.N, params.M)
-    return s_grid, p_official, pw.max(axis=0), pw.sum(axis=0), float(p_flat.sum())
+    Flipping x[k, l] adds delta[k, l] * W[:, k] to the transformed
+    column l and leaves every other column unchanged.
+    """
+    s = np.fft.fft(x_cols, axis=0)
+    cpw = np.abs(s[:, None, :] + delta_cols[None, :, :] * W[:, :, None]) ** 2
+    return np.abs(s) ** 2, cpw.max(axis=0), cpw.sum(axis=0)
 
 
 def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -> PrecodeResult:
@@ -104,25 +103,22 @@ def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -
     u = np.asarray(u, dtype=complex)
     if u.shape != (params.size,):
         raise ParameterError(f"expected {params.size} symbols, got shape {u.shape}")
-    A = _base_amplitude(u)
+    _base_amplitude(u)
     M, N, MN = params.M, params.N, params.size
     cap = np.inf if cfg.max_iter is None else cfg.max_iter
 
     x = u.copy()
-    doubled = np.zeros(MN, dtype=bool)
-    s_grid, p_star, col_max, col_sum, tot = _frame_power_stats(x, params)
-
+    xg = x.reshape(N, M)  # view: xg[k, l] is x[k*M + l]
+    delta = xg.copy()  # the change a flip makes: +u on ring A, -u on ring 2A
     W = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
-    delta = np.where(doubled, -u, u).reshape(N, M)
-    cand = s_grid[:, None, :] + delta[None, :, :] * W[:, :, None]
-    cpw = np.abs(cand) ** 2
-    cand_max = cpw.max(axis=0)  # (N, M): candidate (k, l) -> new max in bin l
-    cand_sum = cpw.sum(axis=0)
+    pw, cand_max, cand_sum = _column_stats(xg, delta, W)
+    p_star = MN * pw.max() / pw.sum()
 
     iterations = 0
     flips: list[int] = []
     while iterations < cap:
         iterations += 1
+        col_max, col_sum = pw.max(axis=0), pw.sum(axis=0)
         if M > 1:
             two_largest = np.partition(col_max, M - 2)[M - 2:]
             other_max = np.where(col_max == two_largest[1],
@@ -130,27 +126,24 @@ def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -
         else:
             other_max = np.zeros(1)
         p_cand = MN * np.maximum(cand_max, other_max[None, :]) \
-            / (tot - col_sum[None, :] + cand_sum)
+            / (pw.sum() - col_sum[None, :] + cand_sum)
         t = int(np.argmin(p_cand))  # first minimum == lowest flat index
-        p_min = float(p_cand.reshape(-1)[t])
-        if not p_min < p_star:
+        if not p_cand.reshape(-1)[t] < p_star:
             break
         k, l = divmod(t, M)
-        doubled[t] = ~doubled[t]
-        x[t] = 2.0 * u[t] if doubled[t] else u[t]
-        s_grid, p_new, col_max, col_sum, tot = _frame_power_stats(x, params)
+        xg[k, l] += delta[k, l]
+        delta[k, l] = -delta[k, l]
+        pw[:, l:l + 1], cand_max[:, l:l + 1], cand_sum[:, l:l + 1] = \
+            _column_stats(xg[:, l:l + 1], delta[:, l:l + 1], W)
+        p_new = MN * pw.max() / pw.sum()
         if not p_new < p_star:
-            # Incremental candidate value beat p_star but the exact
-            # recomputation does not: an ulp-level tie.  Undo and stop so
-            # the committed PAPR sequence stays strictly decreasing.
-            doubled[t] = ~doubled[t]
-            x[t] = 2.0 * u[t] if doubled[t] else u[t]
+            # The candidate value beat p_star but the refreshed grid does
+            # not: an ulp-level tie.  Undo and stop so the committed PAPR
+            # sequence stays strictly decreasing.
+            xg[k, l] += delta[k, l]
             break
         p_star = p_new
         flips.append(t)
-        delta_col = np.where(doubled[l::M], -u[l::M], u[l::M])
-        cand_max[:, l], cand_sum[:, l] = _column_candidate_stats(
-            s_grid[:, l], delta_col, W)
 
     papr_star = papr(modulate(x, params))
     return PrecodeResult(x_star=x, papr_star=papr_star,

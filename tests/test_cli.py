@@ -61,6 +61,15 @@ class TestCcdfCommand:
         assert "error:" in r.stderr
         assert not (tmp_path / "m.samples.csv").exists()
 
+    @pytest.mark.parametrize("bad", [("--mu", "0"), ("--icf-oversample", "1"),
+                                     ("--icf-iterations", "0"), ("--modulation", "3")])
+    def test_bad_stage_parameter_fails_before_any_frame(self, tmp_path, bad):
+        r = run_cli("ccdf", "--method", "none", "--frames", "2", *bad,
+                    "--output", str(tmp_path / "b"))
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_profile_fails_cleanly(self, tmp_path):
         r = run_cli("ccdf", "--M", "4", "--N", "4", "--frames", "2",
                     "--profile", "nosuch", "--output", str(tmp_path / "u"))
@@ -131,6 +140,13 @@ class TestScalingTableCommand:
         lines = body_of(tmp_path / "st.csv").splitlines()
         assert lines[0] == "M,N,method,papr_db_at_ccdf_0p1"
         assert len(lines) == 3
+
+    def test_bad_grid_size_fails_before_any_frame(self, tmp_path):
+        r = run_cli("scaling-table", "--sweep-m", "4,0", "--frames", "2",
+                    "--output", str(tmp_path / "st"))
+        assert r.returncode == 1
+        assert "M=0" in r.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPrecodeCommand:

@@ -83,6 +83,15 @@ class TestConfigConstruction:
         with pytest.raises(ParameterError):
             ExperimentConfig(max_iter=-1)
 
+    @pytest.mark.parametrize("bad", [
+        dict(M=0), dict(N=0), dict(delta_f=0.0), dict(modulation=1),
+        dict(modulation=3), dict(amplitude=0.0), dict(mu=0.0),
+        dict(icf_iterations=0), dict(icf_oversample=1),
+    ])
+    def test_stage_validation(self, bad):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**bad)
+
     def test_profile_validation(self):
         for name in ("etu300", "single-path", "identity", "Identity"):
             assert ExperimentConfig(profile=name).profile == name

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otfs_papr import ExperimentConfig, ParameterError
+from otfs_papr import ExperimentConfig, ParameterError, experiment
 from otfs_papr.experiment import (csv_body, frame_rng, precode_frame,
                                   render_ccdf_curve_csv,
                                   render_ccdf_samples_csv,
@@ -141,6 +141,15 @@ class TestRunScalingTable:
             run_scaling_table(cfg)
         with pytest.raises(ParameterError):
             run_scaling_table(cfg, sweep_m=[4], sweep_n=[4])
+
+    def test_every_grid_size_checked_before_any_frame(self, monkeypatch):
+        calls = []
+        frames = experiment._frames
+        monkeypatch.setattr(experiment, "_frames",
+                            lambda *a: calls.append(a) or frames(*a))
+        with pytest.raises(ParameterError):
+            run_scaling_table(ExperimentConfig(**SMALL), sweep_m=[4, 0])
+        assert calls == []
 
 
 class TestPrecodeFrame:

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otfs_papr import (FrameParams, ParameterError, PskAlphabet,
-                       UnsupportedModulationError, detect_symbol,
-                       detect_symbols, map_bits_to_symbols, symbols_to_bits,
-                       validate_info_vector)
+                       UnsupportedModulationError, detect_symbols,
+                       map_bits_to_symbols, symbols_to_bits)
 
 
 class TestFrameParams:
@@ -90,43 +89,26 @@ class TestBitMapping:
 class TestDetection:
     def test_amplitude_is_ignored(self):
         a = PskAlphabet(D=8, A=1.0)
-        assert detect_symbol(3.0 * a.symbol(1), a) == 1
+        assert detect_symbols(3.0 * a.symbols(), a).tolist() == list(range(8))
 
     def test_nearest_phase_rounding(self):
         a = PskAlphabet(D=8)
         z = np.exp(1j * (0.4 * np.pi / 8))  # offset under half a sector
-        assert detect_symbol(z, a) == 0
+        assert detect_symbols([z, -z], a).tolist() == [0, 4]
 
     def test_negative_real_maps_to_half_order(self):
-        assert detect_symbol(-5.0 + 0j, PskAlphabet(D=4)) == 2
+        assert detect_symbols([-5.0 + 0j], PskAlphabet(D=4)).tolist() == [2]
 
     def test_zero_falls_back_to_index_zero(self):
-        assert detect_symbol(0j, PskAlphabet(D=4)) == 0
         assert detect_symbols([0j, 1 + 0j], PskAlphabet(D=4)).tolist() == [0, 0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):
-            detect_symbol(complex(np.nan, 0), PskAlphabet(D=4))
+            detect_symbols([1 + 0j, complex(np.nan, 0)], PskAlphabet(D=4))
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(2, 16), st.integers(0, 15),
            st.floats(1e-3, 1e3, allow_nan=False))
     def test_scale_invariance(self, D, p, c):
         a = PskAlphabet(D=D)
-        assert detect_symbol(c * a.symbol(p % D), a) == p % D
-
-
-class TestInfoVectorValidation:
-    def test_accepts_mapped_vectors(self):
-        a = PskAlphabet(D=4, A=2.0)
-        p = FrameParams(M=2, N=2)
-        u = a.A * np.exp(2j * np.pi * np.array([0, 1, 2, 3]) / 4)
-        validate_info_vector(u, a, p)
-
-    def test_rejects_wrong_amplitude_and_phase(self):
-        a = PskAlphabet(D=4)
-        p = FrameParams(M=2, N=2)
-        with pytest.raises(ParameterError):
-            validate_info_vector(np.array([1, 1, 1, 1.5], complex), a, p)
-        with pytest.raises(ParameterError):
-            validate_info_vector(np.exp(1j * np.array([0, 0.3, 0, 0])), a, p)
+        assert detect_symbols(c * a.symbols(), a)[p % D] == p % D

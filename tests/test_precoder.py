@@ -3,6 +3,8 @@ and a naive full-recomputation reference implementation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otfs_papr import (CorruptedStateError, FrameParams, GreedyConfig,
                        InstanceTooLargeError, ParameterError, PskAlphabet,
@@ -249,3 +251,28 @@ class TestAgainstNaiveReference:
                 assert np.array_equal(r.x_star, x_ref)
                 assert r.papr_star.value_linear == pytest.approx(p_ref, rel=1e-12)
         assert agreements >= 3  # generic frames rarely tie
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 4, 8]),
+       st.one_of(st.none(), st.integers(1, 5)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1.0, 0.7, 2.5]))
+def test_greedy_properties_over_random_shapes(M, N, D, max_iter, seed, A):
+    """M = 1 or N = 1 runs the single-column and single-row edge cases."""
+    p = FrameParams(M=M, N=N)
+    u = random_psk_frame(p, D, seed, A)
+    r = greedy_precode(u, p, GreedyConfig(max_iter=max_iter))
+    assert r.papr_star.value_linear == papr(modulate(r.x_star, p)).value_linear
+    assert np.all((r.x_star == u) | (r.x_star == 2 * u))
+    x = u.copy()
+    previous = papr(modulate(x, p)).value_linear
+    for t in r.flips:
+        x = candidate_flip(x, t, A)
+        current = papr(modulate(x, p)).value_linear
+        assert current < previous
+        previous = current
+    assert np.array_equal(x, r.x_star)
+    if len(r.flips) < r.iterations_used:  # natural stop
+        for t in range(p.size):
+            flipped = papr(modulate(candidate_flip(r.x_star, t, A), p))
+            assert flipped.value_linear >= previous * (1 - 1e-12)
