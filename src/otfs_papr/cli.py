@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Subcommands mirror the experiment runners; every config key can come
-from a flat config file (--config) and be overridden by the same-named
+from a TOML config file (--config) and be overridden by the same-named
 flag.  All file output happens here, never in the library modules.
 """
 
@@ -17,39 +17,21 @@ from .errors import ParameterError
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--M", type=int, dest="M")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--delta-f", type=float, dest="delta_f")
-    p.add_argument("--modulation", type=int, help="PSK order D (2, 4, ...)")
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--method", help="none|proposed|companding|icf|dft, comma-separable")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--snr-db-list", dest="snr_db_list",
-                   help="comma-separated SNR grid in dB (inf allowed)")
-    p.add_argument("--nu-max-hz", type=float, dest="nu_max_hz")
-    p.add_argument("--profile", help="etu300 | single-path | identity")
-    p.add_argument("--profile-file", help="flat config file with delays_ns, powers_db")
-    p.add_argument("--max-iter", type=int, dest="max_iter",
-                   help="greedy pass cap; 0 runs to the natural stop")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--clip-ratio-db", type=float, dest="clip_ratio_db")
-    p.add_argument("--icf-iterations", type=int, dest="icf_iterations")
-    p.add_argument("--icf-oversample", type=int, dest="icf_oversample")
-    p.add_argument("--dft-axis", dest="dft_axis", choices=("delay", "doppler"))
-    p.add_argument("--output", dest="output_path", help="output path stem")
+    p.add_argument("--config", help="TOML config file")
+    for f in fields(ExperimentConfig):
+        # Flags give text; config_from_mapping coerces it like file values.
+        p.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")),
+                       dest=f.name, help=f.metadata.get("help"))
+    p.add_argument("--profile-file", help="TOML file with delays_ns, powers_db")
     p.add_argument("--plot-script", action="store_true", dest="plot_script",
                    help="also emit a matplotlib script consuming the CSV")
 
 
 def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = config_from_mapping(parse_config_text(Path(args.config).read_text()), cfg)
-    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-                 if getattr(args, f.name, None) is not None}
-    return config_from_mapping(overrides, cfg)
+    mapping = parse_config_text(Path(args.config).read_text()) if args.config else {}
+    mapping.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                    if getattr(args, f.name) is not None})
+    return config_from_mapping(mapping)
 
 
 def _load_profile_file(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -152,7 +134,7 @@ def _cmd_doppler_sweep(args) -> int:
     nus = None
     if args.nu_max_list:
         nus = [float(v) for v in args.nu_max_list.split(",")]
-    result = experiment.run_doppler_sweep(cfg, nu_max_list=nus, snr_db=args.snr_db)
+    result = experiment.run_doppler_sweep(cfg, nu_max_list=nus)
     csv_path = Path(cfg.output_path).with_suffix(".csv")
     _write(csv_path, experiment.render_error_rate_csv(result))
     _maybe_write_plot_script(args, "doppler-sweep", csv_path)
@@ -207,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("doppler-sweep", help="SER at fixed SNR over a Doppler grid")
     _add_config_flags(p)
     p.add_argument("--nu-max-list", help="comma-separated Doppler grid in Hz")
-    p.add_argument("--snr-db", type=float, default=experiment.DOPPLER_SWEEP_SNR_DB)
     p.set_defaults(func=_cmd_doppler_sweep)
 
     p = sub.add_parser("scaling-table", help="PAPR at CCDF 0.1 over grid sizes")

@@ -1,17 +1,22 @@
-"""Experiment configuration and a flat key=value config-file format.
+"""Experiment configuration: one definition per setting.
 
-Config files are a TOML-compatible subset: one `key = value` per line,
-`#` comments, values are integers, floats (inf allowed), booleans,
-quoted strings, or flat lists of numbers.  Every key can be overridden
-by the same-named CLI flag.
+Every field of `ExperimentConfig` is a config-file key and has a
+same-named CLI flag (`--output` for `output_path`), generated from the
+field list by `cli._add_config_flags`.  Config files are TOML, read with
+the standard library's `tomllib`.  File values and flag values (which
+arrive as text) go through the same type coercion in
+`config_from_mapping`.  Building a config builds the stage objects the
+runners use, so a bad value fails before any frame.
 """
 
-from dataclasses import dataclass, fields, replace
+import tomllib
+from dataclasses import dataclass, field, fields
 
 from .baselines import CompandingConfig, DftSpreadConfig, IcfConfig
 from .channel import PathProfile, named_profile
 from .errors import ParameterError
 from .frame import FrameParams, PskAlphabet
+from .precoder import GreedyConfig
 
 METHODS = ("none", "proposed", "companding", "icf", "dft")
 
@@ -26,31 +31,42 @@ class ExperimentConfig:
 
     profile is a named profile, "identity" (a deterministic unit-gain
     path) or a PathProfile, such as one loaded from a profile file.
+
+    Built from the fields and kept as plain attributes (not fields, so
+    they are neither keys nor flags): `params` (FrameParams), `alphabet`
+    (PskAlphabet), `greedy` (GreedyConfig), `companding`
+    (CompandingConfig), `icf` (IcfConfig) and `dft` (DftSpreadConfig).
     """
 
     M: int = 16
     N: int = 16
     delta_f: float = 15e3
-    modulation: int = 4
+    modulation: int = field(default=4, metadata={
+        "help": "PSK order D (2, 4, ...)"})
     amplitude: float = 1.0
-    method: str = "none"
+    method: str = field(default="none", metadata={
+        "help": "none|proposed|companding|icf|dft, comma-separable"})
     frames: int = 1000
     seed: int = 1
-    snr_db_list: tuple = ()
+    snr_db_list: tuple = field(default=(), metadata={
+        "help": "comma-separated SNR grid in dB (inf allowed)"})
     nu_max_hz: float = 300.0
-    profile: str | PathProfile = "etu300"
-    max_iter: int = 0
+    profile: str | PathProfile = field(default="etu300", metadata={
+        "help": "etu300 | single-path | identity"})
+    max_iter: int = field(default=0, metadata={
+        "help": "greedy pass cap; 0 runs to the natural stop"})
     mu: float = 4.0
     clip_ratio_db: float = 4.0
     icf_iterations: int = 3
     icf_oversample: int = 4
-    dft_axis: str = "delay"
-    output_path: str = "experiment"
+    dft_axis: str = field(default="delay", metadata={"help": "delay | doppler"})
+    output_path: str = field(default="experiment", metadata={
+        "flag": "--output", "help": "output path stem"})
 
     def __post_init__(self):
         if self.frames < 1:
             raise ParameterError(f"frames must be >= 1, got {self.frames}")
-        if self.max_iter < 0:  # every value >= 0 gives a valid GreedyConfig
+        if self.max_iter < 0:  # 0 is valid here (no cap), unlike in GreedyConfig
             raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
         if not self.methods:
             raise ParameterError("method must name at least one method")
@@ -58,13 +74,20 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ParameterError(f"unknown method {m!r}; known: {METHODS}")
         self.path_profile()  # raises on an unknown profile
-        # Each stage's own validator, so a bad value fails before any frame.
-        FrameParams(M=self.M, N=self.N, delta_f=self.delta_f)
-        PskAlphabet(D=self.modulation, A=self.amplitude).bits_per_symbol
-        CompandingConfig(mu=self.mu)
-        IcfConfig(clip_ratio_db=self.clip_ratio_db, iterations=self.icf_iterations,
-                  oversample_factor=self.icf_oversample)
-        DftSpreadConfig(axis=self.dft_axis)
+        # Each stage's own validator runs here, so a bad value fails
+        # before any frame.
+        stages = dict(
+            params=FrameParams(M=self.M, N=self.N, delta_f=self.delta_f),
+            alphabet=PskAlphabet(D=self.modulation, A=self.amplitude),
+            greedy=GreedyConfig(max_iter=self.max_iter or None),
+            companding=CompandingConfig(mu=self.mu),
+            icf=IcfConfig(clip_ratio_db=self.clip_ratio_db,
+                          iterations=self.icf_iterations,
+                          oversample_factor=self.icf_oversample),
+            dft=DftSpreadConfig(axis=self.dft_axis))
+        stages["alphabet"].bits_per_symbol  # raises on a non-power-of-two order
+        for name, stage in stages.items():
+            object.__setattr__(self, name, stage)
 
     @property
     def methods(self) -> tuple:
@@ -83,68 +106,59 @@ class ExperimentConfig:
         return named_profile(self.profile)
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return ()
-        return tuple(_parse_value(part) for part in inner.split(","))
-    if (text.startswith('"') and text.endswith('"')) or \
-            (text.startswith("'") and text.endswith("'")):
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ParameterError(f"cannot parse config value {text!r}") from None
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse the flat key=value format into a {key: value} dict."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"config line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = _parse_value(value)
-    return out
+    """Parse a TOML config file into a {key: value} dict; lists become
+    tuples."""
+    try:
+        mapping = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ParameterError(f"invalid config file: {exc}") from None
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in mapping.items()}
 
 
-def config_from_mapping(mapping: dict, base: ExperimentConfig = None) -> ExperimentConfig:
-    """Build a config from parsed keys, validating names and coercing types."""
-    base = base if base is not None else ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
+def _number(key: str, value, kind: type):
+    """A file value or a flag's text as `kind` (int or float)."""
+    if isinstance(value, str):
+        for parse in (int, float):
+            try:
+                value = parse(value)
+                break
+            except ValueError:
+                pass
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"config key {key!r} expects a number, got {value!r}")
+    if kind is float:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ParameterError(f"config key {key!r} expects an integer, got {value}")
+    return int(value)
+
+
+def config_from_mapping(mapping: dict) -> ExperimentConfig:
+    """Build a config from parsed keys, validating names and coercing types.
+
+    Values may be typed (from a config file) or text (from a flag).  A
+    list of numbers may also be given as one number or as a
+    comma-separated string.
+    """
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     updates = {}
     for key, value in mapping.items():
-        if key not in known:
+        if key not in kinds:
             raise ParameterError(f"unknown config key {key!r}")
-        current = getattr(base, key)
-        if key == "snr_db_list":
+        kind = kinds[key]
+        if kind is tuple:
             if isinstance(value, str):
-                value = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                value = tuple(float(v) for v in value)
-        elif isinstance(current, bool):
-            value = bool(value)
-        elif isinstance(current, int) and not isinstance(value, bool):
-            if isinstance(value, float) and not value.is_integer():
-                raise ParameterError(f"config key {key!r} expects an integer, got {value}")
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        elif isinstance(current, str):
+                value = [v for v in value.split(",") if v.strip()]
+            elif not isinstance(value, (list, tuple)):
+                value = [value]
+            value = tuple(_number(key, v, float) for v in value)
+        elif kind in (int, float):
+            value = _number(key, value, kind)
+        else:
             value = str(value)
         updates[key] = value
-    return replace(base, **updates)
+    return ExperimentConfig(**updates)
 
 
 def _list(values) -> str:

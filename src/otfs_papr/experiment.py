@@ -14,16 +14,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import (CompandingConfig, DftSpreadConfig, IcfConfig, clip_count,
-                        dft_despread, dft_spread, icf, mu_compand, mu_expand)
+from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
+                        mu_expand)
 from .channel import (add_awgn, apply_channel, calibrate_noise,
                       effective_dd_matrix, identity_channel, sample_channel)
 from .config import ExperimentConfig, config_summary
 from .errors import EqualizerError, ParameterError
-from .frame import FrameParams, PskAlphabet, detect_symbols, map_bits_to_symbols
+from .frame import detect_symbols, map_bits_to_symbols
 from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
 from .modem import demodulate, modulate
-from .precoder import GreedyConfig, greedy_precode
+from .precoder import greedy_precode
 from .receiver import (EqualizerInput, ErrorCounts, count_errors,
                        dd_noise_variance, mmse_equalize)
 
@@ -39,32 +39,18 @@ def frame_rng(seed: int, *path: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
 
 
-def _frame_params(cfg: ExperimentConfig) -> FrameParams:
-    return FrameParams(M=cfg.M, N=cfg.N, delta_f=cfg.delta_f)
-
-
-def _alphabet(cfg: ExperimentConfig) -> PskAlphabet:
-    return PskAlphabet(D=cfg.modulation, A=cfg.amplitude)
-
-
-def _greedy_config(cfg: ExperimentConfig) -> GreedyConfig:
-    return GreedyConfig(max_iter=None if cfg.max_iter == 0 else cfg.max_iter)
-
-
-def draw_info_vector(cfg: ExperimentConfig, params: FrameParams,
-                     alphabet: PskAlphabet, rng: np.random.Generator):
+def draw_info_vector(cfg: ExperimentConfig, rng: np.random.Generator):
     """Random information bits and their mapped symbol vector."""
-    bits = rng.integers(0, 2, params.size * alphabet.bits_per_symbol)
-    return bits, map_bits_to_symbols(bits, alphabet, params)
+    bits = rng.integers(0, 2, cfg.params.size * cfg.alphabet.bits_per_symbol)
+    return bits, map_bits_to_symbols(bits, cfg.alphabet, cfg.params)
 
 
-def _frames(cfg: ExperimentConfig, params: FrameParams, *point: int):
+def _frames(cfg: ExperimentConfig, *point: int):
     """Yield (substream, information vector) for each frame at one sweep
     point; the caller runs every method on the frame before the next."""
-    alphabet = _alphabet(cfg)
     for f in range(cfg.frames):
         rng = frame_rng(cfg.seed, *point, f)
-        _, u = draw_info_vector(cfg, params, alphabet, rng)
+        _, u = draw_info_vector(cfg, rng)
         yield rng, u
 
 
@@ -77,25 +63,22 @@ class TransmitFrame:
     flips: int = 0
 
 
-def transmit(u, method: str, cfg: ExperimentConfig, params: FrameParams) -> TransmitFrame:
+def transmit(u, method: str, cfg: ExperimentConfig) -> TransmitFrame:
     """Apply one method's transmit path to an information vector."""
+    params = cfg.params
     if method == "none":
         return TransmitFrame(s=modulate(u, params))
     if method == "proposed":
-        result = greedy_precode(u, params, _greedy_config(cfg))
+        result = greedy_precode(u, params, cfg.greedy)
         return TransmitFrame(s=modulate(result.x_star, params), flips=len(result.flips))
     if method == "companding":
         s0 = modulate(u, params)
         V = float(np.abs(s0).max())
-        return TransmitFrame(s=mu_compand(s0, CompandingConfig(mu=cfg.mu), V),
-                             peak_reference=V)
+        return TransmitFrame(s=mu_compand(s0, cfg.companding, V), peak_reference=V)
     if method == "icf":
-        icf_cfg = IcfConfig(clip_ratio_db=cfg.clip_ratio_db,
-                            iterations=cfg.icf_iterations,
-                            oversample_factor=cfg.icf_oversample)
-        return TransmitFrame(s=icf(modulate(u, params), icf_cfg, params))
+        return TransmitFrame(s=icf(modulate(u, params), cfg.icf, params))
     if method == "dft":
-        spread = dft_spread(u, DftSpreadConfig(axis=cfg.dft_axis), params)
+        spread = dft_spread(u, cfg.dft, params)
         return TransmitFrame(s=modulate(spread, params))
     raise ParameterError(f"unknown method {method!r}")
 
@@ -113,13 +96,12 @@ class CcdfResult:
     papr_at_targets: dict
 
 
-def _papr_samples(cfg: ExperimentConfig, params: FrameParams, methods,
-                  *point: int) -> np.ndarray:
+def _papr_samples(cfg: ExperimentConfig, methods, *point: int) -> np.ndarray:
     """PAPR (dB) of every frame at one sweep point, one row per method."""
     samples = np.empty((len(methods), cfg.frames))
-    for f, (_, u) in enumerate(_frames(cfg, params, *point)):
+    for f, (_, u) in enumerate(_frames(cfg, *point)):
         for i, method in enumerate(methods):
-            samples[i, f] = papr(transmit(u, method, cfg, params).s).value_db
+            samples[i, f] = papr(transmit(u, method, cfg).s).value_db
     return samples
 
 
@@ -133,7 +115,7 @@ def run_ccdf(cfg: ExperimentConfig, method: str = None) -> CcdfResult:
             raise ParameterError(
                 f"ccdf takes exactly one method, got {cfg.method!r}")
         method = cfg.methods[0]
-    samples = _papr_samples(cfg, _frame_params(cfg), (method,))[0]
+    samples = _papr_samples(cfg, (method,))[0]
     curve = ccdf(samples)
     targets = {t: papr_at_ccdf(samples, t) for t in CCDF_TARGETS}
     return CcdfResult(config=cfg, method=method, samples_db=samples,
@@ -169,16 +151,13 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
     once, and every method gets the same unit noise draw, scaled to its
     own received power.
     """
-    params = _frame_params(cfg)
-    alphabet = _alphabet(cfg)
+    params, alphabet = cfg.params, cfg.alphabet
     profile = cfg.path_profile()
-    comp_cfg = CompandingConfig(mu=cfg.mu)
-    dft_cfg = DftSpreadConfig(axis=cfg.dft_axis)
     methods = cfg.methods
     counts = [ErrorCounts(0, 0, 0, 0)] * len(methods)
     skipped = [0] * len(methods)
     clips = [0] * len(methods)
-    for rng, u in _frames(cfg, params, point_idx):
+    for rng, u in _frames(cfg, point_idx):
         truth = detect_symbols(u, alphabet)
         if profile is None:
             ch = identity_channel()
@@ -187,14 +166,14 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
         H = effective_dd_matrix(ch, params)
         noise_state = rng.bit_generator.state
         for i, method in enumerate(methods):
-            tx = transmit(u, method, cfg, params)
+            tx = transmit(u, method, cfg)
             r0 = apply_channel(tx.s, ch, params)
             sigma2 = calibrate_noise(snr_db, r0)
             rng.bit_generator.state = noise_state  # same unit noise per method
             r = add_awgn(r0, sigma2, rng)
             if method == "companding":
                 clips[i] += clip_count(r, tx.peak_reference)
-                r = mu_expand(r, comp_cfg, tx.peak_reference)
+                r = mu_expand(r, cfg.companding, tx.peak_reference)
             try:
                 x_hat = mmse_equalize(EqualizerInput(
                     y=demodulate(r, params), H_eff=H,
@@ -204,7 +183,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
                 skipped[i] += 1
                 continue
             if method == "dft":
-                x_hat = dft_despread(x_hat, dft_cfg, params)
+                x_hat = dft_despread(x_hat, cfg.dft, params)
             counts[i] = counts[i] + count_errors(detect_symbols(x_hat, alphabet),
                                                  truth, alphabet.D)
     return [ErrorRatePoint(method=method, snr_db=snr_db, nu_max_hz=nu_max,
@@ -227,9 +206,17 @@ def run_error_rate(cfg: ExperimentConfig) -> ErrorRateResult:
     return ErrorRateResult(config=cfg, points=points)
 
 
-def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None,
-                      snr_db: float = DOPPLER_SWEEP_SNR_DB) -> ErrorRateResult:
-    """SER at fixed SNR across a maximum-Doppler grid."""
+def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None) -> ErrorRateResult:
+    """SER at one SNR across a maximum-Doppler grid.
+
+    The SNR is the config's one snr_db_list value, DOPPLER_SWEEP_SNR_DB
+    if the list is empty; the result's config echoes the SNR used.
+    """
+    if len(cfg.snr_db_list) > 1:
+        raise ParameterError(
+            f"doppler-sweep takes at most one SNR, got {cfg.snr_db_list}")
+    snr_db = cfg.snr_db_list[0] if cfg.snr_db_list else DOPPLER_SWEEP_SNR_DB
+    cfg = replace(cfg, snr_db_list=(snr_db,))
     nus = DOPPLER_SWEEP_DEFAULT_HZ if nu_max_list is None else tuple(nu_max_list)
     points = []
     for point_idx, nu in enumerate(nus):
@@ -270,7 +257,7 @@ def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> Scal
                   for value in values]
     rows = []
     for grid_idx, sized in enumerate(sized_cfgs):
-        samples = _papr_samples(sized, _frame_params(sized), cfg.methods, grid_idx)
+        samples = _papr_samples(sized, cfg.methods, grid_idx)
         rows += [ScalingRow(M=sized.M, N=sized.N, method=method,
                             papr_db_at_ccdf_0p1=papr_at_ccdf(row, 0.1))
                  for method, row in zip(cfg.methods, samples)]
@@ -291,9 +278,8 @@ class PrecodeFrameResult:
 
 
 def precode_frame(u, cfg: ExperimentConfig) -> PrecodeFrameResult:
-    params = _frame_params(cfg)
-    before = papr(modulate(np.asarray(u, complex), params)).value_db
-    result = greedy_precode(u, params, _greedy_config(cfg))
+    before = papr(modulate(np.asarray(u, complex), cfg.params)).value_db
+    result = greedy_precode(u, cfg.params, cfg.greedy)
     return PrecodeFrameResult(x_star=result.x_star, papr_before_db=before,
                               papr_after_db=result.papr_star.value_db,
                               iterations_used=result.iterations_used,

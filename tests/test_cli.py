@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import otfs_papr
+from otfs_papr import ExperimentConfig, ParameterError, cli
 
 CLI = [sys.executable, "-m", "otfs_papr.cli"]
 # The child imports the package from where this process found it.
@@ -130,6 +132,14 @@ class TestDopplerSweepCommand:
         assert r.returncode == 0, r.stderr
         assert len(body_of(tmp_path / "ds.csv").splitlines()) == 3
 
+    def test_snr_comes_from_snr_db_list(self, tmp_path):
+        r = run_cli("doppler-sweep", "--M", "4", "--N", "4", "--frames", "2",
+                    "--nu-max-list", "0,600", "--method", "none",
+                    "--snr-db-list", "5", "--output", str(tmp_path / "ds"))
+        assert r.returncode == 0, r.stderr
+        rows = body_of(tmp_path / "ds.csv").splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["5", "5"]
+
 
 class TestScalingTableCommand:
     def test_small_table(self, tmp_path):
@@ -169,6 +179,51 @@ class TestPrecodeCommand:
         r = run_cli("precode", "--M", "1", "--N", "2", "-",
                     stdin_text="hello\nworld\n")
         assert r.returncode == 1
+
+
+class TestConfigFile:
+    def test_wrong_type_fails_cleanly(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("frames = true\n")
+        r = run_cli("ccdf", "--config", str(cfg), "--output", str(tmp_path / "b"))
+        assert r.returncode == 1
+        assert "error:" in r.stderr and "frames" in r.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
+# A value for every config key's flag, unlike its default.
+FLAG_VALUES = {
+    "M": ("8", 8), "N": ("4", 4), "delta_f": ("30e3", 30e3),
+    "modulation": ("8", 8), "amplitude": ("2", 2.0),
+    "method": ("proposed", "proposed"), "frames": ("5", 5), "seed": ("3", 3),
+    "snr_db_list": ("10,inf", (10.0, float("inf"))), "nu_max_hz": ("600", 600.0),
+    "profile": ("identity", "identity"), "max_iter": ("7", 7), "mu": ("2.5", 2.5),
+    "clip_ratio_db": ("6", 6.0), "icf_iterations": ("2", 2),
+    "icf_oversample": ("8", 8), "dft_axis": ("doppler", "doppler"),
+    "output_path": ("runs/x", "runs/x"),
+}
+
+
+def _config_from_flags(*argv):
+    return cli._build_config(cli.build_parser().parse_args(["ccdf", *argv]))
+
+
+@pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_config_key_has_a_flag(f):
+    text, want = FLAG_VALUES[f.name]
+    assert want != f.default
+    flag = "--output" if f.name == "output_path" else "--" + f.name.replace("_", "-")
+    value = getattr(_config_from_flags(flag, text), f.name)
+    assert value == want
+    assert isinstance(value, f.type) and not isinstance(value, bool)
+    if f.type is tuple:
+        assert all(type(v) is float for v in value)
+
+
+@pytest.mark.parametrize("flag, text", [("--M", "2.5"), ("--frames", "abc")])
+def test_bad_flag_value_names_its_key(flag, text):
+    with pytest.raises(ParameterError, match=repr(flag[2:])):
+        _config_from_flags(flag, text)
 
 
 class TestProfileFile:

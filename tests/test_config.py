@@ -70,6 +70,16 @@ class TestConfigConstruction:
         cfg = config_from_mapping({"snr_db_list": "6,12, 18"})
         assert cfg.snr_db_list == (6.0, 12.0, 18.0)
 
+    def test_snr_list_from_one_number(self):
+        cfg = config_from_mapping(parse_config_text("snr_db_list = 18\n"))
+        assert cfg.snr_db_list == (18.0,)
+
+    @pytest.mark.parametrize("text", ["frames = true", "M = true", "mu = false",
+                                      "snr_db_list = [10, true]"])
+    def test_booleans_rejected_for_numbers(self, text):
+        with pytest.raises(ParameterError, match=repr(text.split()[0])):
+            config_from_mapping(parse_config_text(text + "\n"))
+
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert (cfg.M, cfg.N) == (16, 16)

@@ -1,5 +1,7 @@
 """Experiment runners: determinism, CSV schemas, and end-to-end sanity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,13 +68,13 @@ class TestTransmitDispatch:
         bits = rng.integers(0, 2, params.size * 2)
         u = map_bits_to_symbols(bits, alphabet, params)
         for method in ("none", "proposed", "companding", "icf", "dft"):
-            tx = transmit(u, method, cfg, params)
+            tx = transmit(u, method, cfg)
             assert tx.s.shape == (params.size,)
 
     def test_unknown_method_rejected(self):
         cfg = ExperimentConfig(M=2, N=2)
         with pytest.raises(ParameterError):
-            transmit(np.ones(4, complex), "slm", cfg, FrameParams(M=2, N=2))
+            transmit(np.ones(4, complex), "slm", cfg)
 
 
 class TestRunErrorRate:
@@ -117,6 +119,19 @@ class TestRunDopplerSweep:
         result = run_doppler_sweep(cfg, nu_max_list=(0.0, 600.0))
         assert [p.nu_max_hz for p in result.points] == [0.0, 600.0]
         assert all(p.snr_db == 18.0 for p in result.points)
+
+    def test_snr_from_config(self, monkeypatch):
+        cfg = ExperimentConfig(M=4, N=4, frames=2, seed=8, method="none",
+                               snr_db_list=(5.0,))
+        result = run_doppler_sweep(cfg, nu_max_list=(0.0,))
+        assert [p.snr_db for p in result.points] == [5.0]
+        default = run_doppler_sweep(replace(cfg, snr_db_list=()), nu_max_list=(0.0,))
+        assert default.config.snr_db_list == (18.0,)
+        calls = []
+        monkeypatch.setattr(experiment, "_frames", lambda *a: calls.append(a))
+        with pytest.raises(ParameterError):
+            run_doppler_sweep(replace(cfg, snr_db_list=(5.0, 10.0)))
+        assert calls == []
 
     def test_csv_rows_match_grid(self):
         cfg = ExperimentConfig(M=4, N=4, frames=4, seed=8, method="none,dft")
