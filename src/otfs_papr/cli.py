@@ -11,8 +11,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment
-from .channel import PathProfile
-from .config import ExperimentConfig, config_from_mapping, parse_config_text
+from .config import (ExperimentConfig, config_from_mapping, parse_config_text,
+                     profile_from_mapping)
 from .errors import ParameterError
 
 
@@ -36,11 +36,8 @@ def _build_config(args) -> ExperimentConfig:
 
 def _load_profile_file(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "profile_file", None):
-        mapping = parse_config_text(Path(args.profile_file).read_text())
-        try:
-            profile = PathProfile(tuple(mapping["delays_ns"]), tuple(mapping["powers_db"]))
-        except KeyError as missing:
-            raise ParameterError(f"profile file lacks key {missing}") from None
+        profile = profile_from_mapping(
+            parse_config_text(Path(args.profile_file).read_text()))
         cfg = replace(cfg, profile=profile)
     return cfg
 

@@ -134,6 +134,16 @@ def _number(key: str, value, kind: type):
     return int(value)
 
 
+def _numbers(key: str, value) -> tuple:
+    """A list of numbers, given as a list, one number or comma-separated
+    text, as a tuple of floats."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    return tuple(_number(key, v, float) for v in value)
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build a config from parsed keys, validating names and coercing types.
 
@@ -148,17 +158,23 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             raise ParameterError(f"unknown config key {key!r}")
         kind = kinds[key]
         if kind is tuple:
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v.strip()]
-            elif not isinstance(value, (list, tuple)):
-                value = [value]
-            value = tuple(_number(key, v, float) for v in value)
+            value = _numbers(key, value)
         elif kind in (int, float):
             value = _number(key, value, kind)
         else:
             value = str(value)
         updates[key] = value
     return ExperimentConfig(**updates)
+
+
+def profile_from_mapping(mapping: dict) -> PathProfile:
+    """A path profile from a parsed profile file's delays_ns and
+    powers_db, which follow the config keys' rules for number lists."""
+    try:
+        return PathProfile(_numbers("delays_ns", mapping["delays_ns"]),
+                           _numbers("powers_db", mapping["powers_db"]))
+    except KeyError as missing:
+        raise ParameterError(f"profile file lacks key {missing}") from None
 
 
 def _list(values) -> str:

@@ -18,7 +18,7 @@ class CorruptedStateError(ValueError):
 
 
 class InstanceTooLargeError(ParameterError):
-    """Exhaustive search requested for an instance beyond the size guard."""
+    """An exhaustive search or a dense oracle requested beyond its size guard."""
 
 
 class EqualizerError(RuntimeError):

@@ -16,16 +16,17 @@ import numpy as np
 from . import __version__
 from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
                         mu_expand)
-from .channel import (add_awgn, apply_channel, calibrate_noise,
-                      effective_dd_matrix, identity_channel, sample_channel)
+from .channel import (add_awgn, apply_channel, calibrate_noise, channel_blocks,
+                      check_taps_below_m, delay_taps, identity_channel,
+                      sample_channel)
 from .config import ExperimentConfig, config_summary
 from .errors import EqualizerError, ParameterError
 from .frame import detect_symbols, map_bits_to_symbols
 from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
 from .modem import demodulate, modulate
 from .precoder import greedy_precode
-from .receiver import (EqualizerInput, ErrorCounts, count_errors,
-                       dd_noise_variance, mmse_equalize)
+from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
+                       dd_noise_variance)
 
 RNG_SCHEME = "pcg64-seedseq-v1"
 CCDF_TARGETS = (0.5, 0.1)
@@ -147,12 +148,15 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
                   point_idx: int) -> list:
     """One ErrorRatePoint per configured method at one (SNR, Doppler) point.
 
-    Each frame's channel and its DD-domain matrix are drawn and built
+    Each frame's channel and its receiver blocks are drawn and built
     once, and every method gets the same unit noise draw, scaled to its
-    own received power.
+    own received power.  A profile with a delay tap at or above M fails
+    before any frame.
     """
     params, alphabet = cfg.params, cfg.alphabet
     profile = cfg.path_profile()
+    if profile is not None:
+        check_taps_below_m(delay_taps(profile, params), params)
     methods = cfg.methods
     counts = [ErrorCounts(0, 0, 0, 0)] * len(methods)
     skipped = [0] * len(methods)
@@ -163,7 +167,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
             ch = identity_channel()
         else:
             ch = sample_channel(profile, nu_max, params, rng)
-        H = effective_dd_matrix(ch, params)
+        blocks = channel_blocks(ch, params)
         noise_state = rng.bit_generator.state
         for i, method in enumerate(methods):
             tx = transmit(u, method, cfg)
@@ -175,13 +179,12 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
                 clips[i] += clip_count(r, tx.peak_reference)
                 r = mu_expand(r, cfg.companding, tx.peak_reference)
             try:
-                x_hat = mmse_equalize(EqualizerInput(
-                    y=demodulate(r, params), H_eff=H,
-                    sigma2_dd=dd_noise_variance(sigma2, params),
-                    Es=alphabet.A ** 2))
+                z = block_mmse_equalize(
+                    blocks, r, dd_noise_variance(sigma2, params) / alphabet.A ** 2)
             except EqualizerError:
                 skipped[i] += 1
                 continue
+            x_hat = demodulate(z, params)
             if method == "dft":
                 x_hat = dft_despread(x_hat, cfg.dft, params)
             counts[i] = counts[i] + count_errors(detect_symbols(x_hat, alphabet),

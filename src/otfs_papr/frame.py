@@ -9,7 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedModulationError
+from .errors import (InstanceTooLargeError, ParameterError,
+                     UnsupportedModulationError)
+
+# Largest MN for which the dense (MN)^2 oracles build a matrix: 16.8 MB
+# per complex matrix at MN = 1024, against 268 MB at 64 x 64.
+DENSE_MAX_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,16 @@ class FrameParams:
     def size(self) -> int:
         """Number of symbols (and time samples) per frame."""
         return self.M * self.N
+
+
+def check_dense_size(size: int, what: str):
+    """Refuse a dense (size x size) oracle beyond DENSE_MAX_SIZE before
+    anything is allocated."""
+    if size > DENSE_MAX_SIZE:
+        raise InstanceTooLargeError(
+            f"{what} would be a dense {size} x {size} matrix "
+            f"({16 * size ** 2 / 1e6:.0f} MB); the dense oracles are limited "
+            f"to MN <= {DENSE_MAX_SIZE}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ one global scalar.
 import numpy as np
 
 from .errors import ParameterError
-from .frame import FrameParams
+from .frame import FrameParams, check_dense_size
 
 
 def modulate(x, params: FrameParams) -> np.ndarray:
@@ -45,6 +45,7 @@ def fourier_matrix(N: int) -> np.ndarray:
 
 def dense_synthesis_matrix(params: FrameParams) -> np.ndarray:
     """Materialized (F_N^H kron I_M); O((MN)^2) memory, for small grids."""
+    check_dense_size(params.size, "dense_synthesis_matrix")
     return np.kron(fourier_matrix(params.N).conj().T, np.eye(params.M))
 
 

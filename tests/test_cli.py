@@ -122,6 +122,14 @@ class TestErrorRateCommand:
         assert r.returncode == 1
         assert "error:" in r.stderr
 
+    def test_large_grid_needs_no_dense_matrix(self, tmp_path):
+        # A dense 4096 x 4096 receiver would exceed the oracle size guard.
+        r = run_cli("error-rate", "--M", "64", "--N", "64", "--frames", "1",
+                    "--snr-db-list", "18", "--output", str(tmp_path / "big"))
+        assert r.returncode == 0, r.stderr
+        row = body_of(tmp_path / "big.csv").splitlines()[1].split(",")
+        assert row[3:5] == ["1", "4096"]
+
 
 class TestDopplerSweepCommand:
     def test_small_sweep(self, tmp_path):
@@ -237,6 +245,41 @@ class TestProfileFile:
         assert r.returncode == 0, r.stderr
         assert "profile=PathProfile(delays_ns=[0,1000],powers_db=[0,-3])" \
             in (tmp_path / "pf.csv").read_text()
+
+    def test_one_number_is_a_one_path_profile(self, tmp_path):
+        prof = tmp_path / "prof.cfg"
+        prof.write_text("delays_ns = 0\npowers_db = 0\n")
+        r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "2",
+                    "--snr-db-list", "20", "--profile-file", str(prof),
+                    "--method", "none", "--output", str(tmp_path / "one"))
+        assert r.returncode == 0, r.stderr
+        assert "profile=PathProfile(delays_ns=[0],powers_db=[0])" \
+            in (tmp_path / "one.csv").read_text()
+
+    @pytest.mark.parametrize("text, key", [
+        ('delays_ns = [0, "far"]\npowers_db = [0, -3]\n', "delays_ns"),
+        ("delays_ns = [0, 50]\npowers_db = true\n", "powers_db"),
+    ])
+    def test_wrong_type_fails_cleanly(self, tmp_path, text, key):
+        prof = tmp_path / "prof.cfg"
+        prof.write_text(text)
+        r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "2",
+                    "--snr-db-list", "20", "--profile-file", str(prof),
+                    "--output", str(tmp_path / "bad"))
+        assert r.returncode == 1
+        assert "error:" in r.stderr and key in r.stderr
+        assert "Traceback" not in r.stderr
+        assert list(tmp_path.iterdir()) == [prof]
+
+    def test_delay_beyond_one_block_fails_before_any_frame(self, tmp_path):
+        prof = tmp_path / "prof.cfg"
+        prof.write_text("delays_ns = [0, 70000]\npowers_db = [0, -3]\n")
+        r = run_cli("error-rate", "--M", "16", "--N", "4", "--frames", "2",
+                    "--snr-db-list", "20", "--profile-file", str(prof),
+                    "--output", str(tmp_path / "far"))
+        assert r.returncode == 1
+        assert "error:" in r.stderr and "not below M=16" in r.stderr
+        assert list(tmp_path.iterdir()) == [prof]
 
     def test_profile_file_missing_key(self, tmp_path):
         prof = tmp_path / "prof.cfg"

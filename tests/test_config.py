@@ -4,7 +4,7 @@ import pytest
 
 from otfs_papr import (ETU300_PROFILE, ExperimentConfig, ParameterError,
                        PathProfile, config_from_mapping, parse_config_text)
-from otfs_papr.config import config_summary
+from otfs_papr.config import config_summary, profile_from_mapping
 
 SAMPLE = """
 # comparison run
@@ -128,3 +128,18 @@ class TestConfigConstruction:
         cfg = ExperimentConfig(profile=PathProfile((0.0, 1000.0), (0.0, -3.0)))
         assert "profile=PathProfile(delays_ns=[0,1000],powers_db=[0,-3]) " \
             in config_summary(cfg)
+
+
+class TestProfileFromMapping:
+    def test_one_number_is_a_one_value_list(self):
+        assert profile_from_mapping({"delays_ns": 0, "powers_db": -1.5}) == \
+            PathProfile((0.0,), (-1.5,))
+
+    @pytest.mark.parametrize("mapping", [
+        {"delays_ns": True, "powers_db": 0},
+        {"delays_ns": (0, 50), "powers_db": (0, "loud")},
+        {"delays_ns": (0, 50)},
+    ])
+    def test_bad_values_raise_parameter_error(self, mapping):
+        with pytest.raises(ParameterError):
+            profile_from_mapping(mapping)

@@ -5,6 +5,7 @@ import pytest
 
 from otfs_papr import (FrameParams, ParameterError, UndefinedPaprError, ccdf,
                        default_thresholds_db, modulate, papr, papr_at_ccdf)
+from otfs_papr.metrics import CCDF_THRESHOLD_STEP_DB
 
 
 class TestPapr:
@@ -92,6 +93,17 @@ class TestCcdfReadout:
                                   np.full(50, 9.5)])
         v = papr_at_ccdf(samples, 0.1)
         assert 7.9 <= v <= 9.6
+
+    @pytest.mark.parametrize("offset_db", [0.0, 4e-15])
+    def test_all_zero_db_set_errs_by_at_most_one_grid_step(self, offset_db):
+        # Every sample is 0 dB up to rounding, as for a Doppler-axis DFT
+        # spread frame; the readout comes off the threshold grid.
+        samples = np.full(200, offset_db)
+        for target, on_grid in ((0.5, 0.05), (0.1, 0.09)):
+            value = papr_at_ccdf(samples, target)
+            assert 0.0 <= value - offset_db <= CCDF_THRESHOLD_STEP_DB
+            if offset_db > 0:  # just above the 0 dB grid point
+                assert value == pytest.approx(on_grid)
 
     def test_rejects_unusable_targets(self):
         with pytest.raises(ParameterError):
