@@ -181,10 +181,13 @@ def _list(values) -> str:
     return "[" + ",".join(f"{x:.10g}" for x in values) + "]"
 
 
-def config_summary(cfg: ExperimentConfig) -> str:
-    """Single-line deterministic key=value echo for output metadata."""
+def config_summary(cfg: ExperimentConfig, omit=()) -> str:
+    """Single-line deterministic key=value echo for output metadata, less
+    the keys in `omit`."""
     parts = []
     for f in fields(ExperimentConfig):
+        if f.name in omit:
+            continue
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
             v = _list(v)

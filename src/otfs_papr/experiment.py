@@ -5,7 +5,9 @@ rendered CSV text.  Every frame draws from its own RNG substream keyed
 by (seed, sweep-point index, frame index), so results do not depend on
 execution order.  The loop is frame-major: each frame, and its channel
 and noise, is drawn once and every method runs on it, so methods are
-compared on identical frames, channels and noise.
+compared on identical frames, channels and noise.  Frames are drawn in
+chunks so that the greedy precoder searches a whole chunk in lockstep;
+every other stage still runs frame by frame.
 """
 
 import datetime
@@ -24,7 +26,7 @@ from .errors import EqualizerError, ParameterError
 from .frame import detect_symbols, map_bits_to_symbols
 from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
 from .modem import demodulate, modulate
-from .precoder import greedy_precode
+from .precoder import PrecodeResult, greedy_precode, greedy_precode_batch
 from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
                        dd_noise_variance)
 
@@ -32,6 +34,11 @@ RNG_SCHEME = "pcg64-seedseq-v1"
 CCDF_TARGETS = (0.5, 0.1)
 DOPPLER_SWEEP_DEFAULT_HZ = tuple(float(v) for v in range(0, 2401, 300))
 DOPPLER_SWEEP_SNR_DB = 18.0
+# Symbols per frame chunk of the runners: each chunk of
+# max(1, FRAME_CHUNK_SYMBOLS // MN) frames goes through the greedy
+# precoder in one lockstep call.  Larger chunks make the lockstep passes
+# cheaper per frame but raise peak memory.
+FRAME_CHUNK_SYMBOLS = 4096
 
 
 def frame_rng(seed: int, *path: int) -> np.random.Generator:
@@ -46,13 +53,27 @@ def draw_info_vector(cfg: ExperimentConfig, rng: np.random.Generator):
     return bits, map_bits_to_symbols(bits, cfg.alphabet, cfg.params)
 
 
-def _frames(cfg: ExperimentConfig, *point: int):
-    """Yield (substream, information vector) for each frame at one sweep
-    point; the caller runs every method on the frame before the next."""
-    for f in range(cfg.frames):
-        rng = frame_rng(cfg.seed, *point, f)
-        _, u = draw_info_vector(cfg, rng)
-        yield rng, u
+def _frames(cfg: ExperimentConfig, methods, *point: int):
+    """Yield (substream, information vector, greedy result) for each frame
+    at one sweep point; the caller runs every method on the frame before
+    the next.
+
+    Frames are drawn in chunks of about FRAME_CHUNK_SYMBOLS symbols, and
+    if `methods` include "proposed" each chunk is precoded in one
+    lockstep greedy_precode_batch call; otherwise the result is None.
+    """
+    chunk = max(1, FRAME_CHUNK_SYMBOLS // cfg.params.size)
+    for start in range(0, cfg.frames, chunk):
+        drawn = []
+        for f in range(start, min(start + chunk, cfg.frames)):
+            rng = frame_rng(cfg.seed, *point, f)
+            drawn.append((rng, draw_info_vector(cfg, rng)[1]))
+        precoded = [None] * len(drawn)
+        if "proposed" in methods:
+            precoded = greedy_precode_batch([u for _, u in drawn], cfg.params,
+                                            cfg.greedy)
+        for (rng, u), result in zip(drawn, precoded):
+            yield rng, u, result
 
 
 @dataclass(frozen=True)
@@ -64,14 +85,21 @@ class TransmitFrame:
     flips: int = 0
 
 
-def transmit(u, method: str, cfg: ExperimentConfig) -> TransmitFrame:
-    """Apply one method's transmit path to an information vector."""
+def transmit(u, method: str, cfg: ExperimentConfig,
+             precoded: PrecodeResult | None = None) -> TransmitFrame:
+    """Apply one method's transmit path to an information vector.
+
+    `precoded` is u's greedy_precode result where the caller already
+    has it (from a batch); otherwise "proposed" computes it.
+    """
     params = cfg.params
     if method == "none":
         return TransmitFrame(s=modulate(u, params))
     if method == "proposed":
-        result = greedy_precode(u, params, cfg.greedy)
-        return TransmitFrame(s=modulate(result.x_star, params), flips=len(result.flips))
+        if precoded is None:
+            precoded = greedy_precode(u, params, cfg.greedy)
+        return TransmitFrame(s=modulate(precoded.x_star, params),
+                             flips=len(precoded.flips))
     if method == "companding":
         s0 = modulate(u, params)
         V = float(np.abs(s0).max())
@@ -100,9 +128,9 @@ class CcdfResult:
 def _papr_samples(cfg: ExperimentConfig, methods, *point: int) -> np.ndarray:
     """PAPR (dB) of every frame at one sweep point, one row per method."""
     samples = np.empty((len(methods), cfg.frames))
-    for f, (_, u) in enumerate(_frames(cfg, *point)):
+    for f, (_, u, precoded) in enumerate(_frames(cfg, methods, *point)):
         for i, method in enumerate(methods):
-            samples[i, f] = papr(transmit(u, method, cfg).s).value_db
+            samples[i, f] = papr(transmit(u, method, cfg, precoded).s).value_db
     return samples
 
 
@@ -142,6 +170,7 @@ class ErrorRatePoint:
 class ErrorRateResult:
     config: ExperimentConfig
     points: list = field(default_factory=list)
+    sweep: tuple = ()  # (config key, values) that the run swept in its place
 
 
 def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
@@ -161,7 +190,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
     counts = [ErrorCounts(0, 0, 0, 0)] * len(methods)
     skipped = [0] * len(methods)
     clips = [0] * len(methods)
-    for rng, u in _frames(cfg, point_idx):
+    for rng, u, precoded in _frames(cfg, methods, point_idx):
         truth = detect_symbols(u, alphabet)
         if profile is None:
             ch = identity_channel()
@@ -170,7 +199,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
         blocks = channel_blocks(ch, params)
         noise_state = rng.bit_generator.state
         for i, method in enumerate(methods):
-            tx = transmit(u, method, cfg)
+            tx = transmit(u, method, cfg, precoded)
             r0 = apply_channel(tx.s, ch, params)
             sigma2 = calibrate_noise(snr_db, r0)
             rng.bit_generator.state = noise_state  # same unit noise per method
@@ -224,7 +253,8 @@ def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None) -> ErrorRateResul
     points = []
     for point_idx, nu in enumerate(nus):
         points += _error_points(cfg, snr_db, float(nu), point_idx)
-    return ErrorRateResult(config=cfg, points=points)
+    return ErrorRateResult(config=cfg, points=points,
+                           sweep=("nu_max_hz", tuple(float(nu) for nu in nus)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +273,7 @@ class ScalingRow:
 class ScalingResult:
     config: ExperimentConfig
     rows: list = field(default_factory=list)
+    sweep: tuple = ()  # (config key, values) that the run swept in its place
 
 
 def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> ScalingResult:
@@ -253,18 +284,17 @@ def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> Scal
     """
     if (sweep_m is None) == (sweep_n is None):
         raise ParameterError("provide exactly one of sweep_m or sweep_n")
-    values = sweep_m if sweep_m is not None else sweep_n
+    key, values = ("M", sweep_m) if sweep_m is not None else ("N", sweep_n)
     # Every grid size is validated before the first frame runs.
-    sized_cfgs = [replace(cfg, M=int(value) if sweep_m is not None else cfg.M,
-                          N=int(value) if sweep_n is not None else cfg.N)
-                  for value in values]
+    sized_cfgs = [replace(cfg, **{key: int(value)}) for value in values]
     rows = []
     for grid_idx, sized in enumerate(sized_cfgs):
         samples = _papr_samples(sized, cfg.methods, grid_idx)
         rows += [ScalingRow(M=sized.M, N=sized.N, method=method,
                             papr_db_at_ccdf_0p1=papr_at_ccdf(row, 0.1))
                  for method, row in zip(cfg.methods, samples)]
-    return ScalingResult(config=cfg, rows=rows)
+    return ScalingResult(config=cfg, rows=rows,
+                         sweep=(key, tuple(int(v) for v in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +329,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _metadata_lines(cfg: ExperimentConfig, kind: str, extra=()) -> list:
+def _metadata_lines(cfg: ExperimentConfig, kind: str, extra=(), sweep=()) -> list:
+    """Header lines; a swept config key is echoed with the values the run
+    used, on its own line, not with the config's unused value."""
     now = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     lines = [f"# otfs-papr v{__version__} {kind}",
              f"# generated: {now}",
              f"# rng: {RNG_SCHEME} seed={cfg.seed}",
-             f"# config: {config_summary(cfg)}"]
+             f"# config: {config_summary(cfg, omit=sweep[:1])}"]
+    if sweep:
+        key, values = sweep
+        lines.append(f"# sweep: {key}=[{','.join(map(_fmt, values))}]")
     lines.extend(f"# {e}" for e in extra)
     return lines
 
@@ -340,7 +375,7 @@ def render_error_rate_csv(result: ErrorRateResult) -> str:
         if p.expander_clips:
             extra.append(f"expander_clips: method={p.method} snr_db={_fmt(p.snr_db)} "
                          f"nu_max_hz={_fmt(p.nu_max_hz)} count={p.expander_clips}")
-    lines = _metadata_lines(result.config, "error-rate", extra)
+    lines = _metadata_lines(result.config, "error-rate", extra, result.sweep)
     lines.append("method,snr_db,nu_max_hz,frames,symbols,symbol_errors,bit_errors,ser,ber")
     for p in result.points:
         c = p.counts
@@ -351,7 +386,7 @@ def render_error_rate_csv(result: ErrorRateResult) -> str:
 
 
 def render_scaling_csv(result: ScalingResult) -> str:
-    lines = _metadata_lines(result.config, "scaling-table")
+    lines = _metadata_lines(result.config, "scaling-table", sweep=result.sweep)
     lines.append("M,N,method,papr_db_at_ccdf_0p1")
     lines.extend(f"{r.M},{r.N},{r.method},{_fmt(r.papr_db_at_ccdf_0p1)}"
                  for r in result.rows)

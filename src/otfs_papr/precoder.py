@@ -16,6 +16,35 @@ commit costs one N-point column FFT plus an N x N candidate refresh of
 column l.  An N-point FFT of a column equals that column of the full
 transform bit for bit, so the committed PAPR, read off the refreshed
 power grid, is exactly papr(modulate(x_star)).
+
+One kernel, greedy_precode_batch, runs a batch of B frames in lockstep;
+greedy_precode is that kernel on a batch of one.  The state is stacked
+over the frames, and each pass takes one argmin and commits at most one
+column refresh per frame, so a pass's per-call cost is paid once for
+the whole batch.  A frame stops on its own terms: a natural stop (no
+flip beats its PAPR), an ulp-level tie (the refreshed grid does not
+confirm the candidate's value, so the flip is undone) or the pass cap.
+Stopped frames are compacted out of the state, and the frames still
+searching have all run the same number of passes.
+
+Each frame gets bit for bit the result it gets alone, because every
+value is computed by the same floating-point operations in the same
+order as in a one-frame search:
+
+- elementwise arithmetic is unaffected by the other frames;
+- each column's sum over n adds the rows in n order, on a power array
+  laid out (n, frame, column) so that numpy reduces axis 0 plane by
+  plane, as it does a frame's own (N, M) grid; a one-column grid
+  (M = 1), which numpy sums pairwise, takes the frame's total instead;
+- each frame's total power is a pairwise sum over one contiguous row of
+  MN values, as pw.sum() is for a single frame;
+- a pass refreshes the committed column of every frame with one
+  _column_stats call, which transforms and reduces each column on its
+  own, as the frame's initial state was built.
+
+The initial state is built frame by frame, so no (B, N, N, M)
+temporary exists; the runners choose B so that a batch holds about a
+fixed number of symbols.
 """
 
 from dataclasses import dataclass, field
@@ -84,11 +113,19 @@ def _column_stats(x_cols, delta_cols, W):
     candidate flip (k, l) the max and sum of column l's power after it.
 
     Flipping x[k, l] adds delta[k, l] * W[:, k] to the transformed
-    column l and leaves every other column unchanged.
+    column l and leaves every other column unchanged.  The L columns may
+    belong to different frames: each is handled on its own.
     """
     s = np.fft.fft(x_cols, axis=0)
     cpw = np.abs(s[:, None, :] + delta_cols[None, :, :] * W[:, :, None]) ** 2
     return np.abs(s) ** 2, cpw.max(axis=0), cpw.sum(axis=0)
+
+
+def _frame_rows(a):
+    """(N, B, M) per-row grids as a (B, N*M) array, one contiguous row per
+    frame, so a row reduces exactly like that frame's own contiguous grid."""
+    N, B, M = a.shape
+    return a.transpose(1, 0, 2).reshape(B, N * M)
 
 
 def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -> PrecodeResult:
@@ -98,56 +135,102 @@ def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -
     best vector found so far, ties broken toward the lowest flat index.
     The best candidate is committed only if strictly better; otherwise
     the search stops.  iterations_used counts passes, including the
-    final non-improving one.
+    final non-improving one.  This is greedy_precode_batch on a batch of
+    one frame.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (params.size,):
         raise ParameterError(f"expected {params.size} symbols, got shape {u.shape}")
-    _base_amplitude(u)
+    return greedy_precode_batch(u[None, :], params, cfg)[0]
+
+
+def greedy_precode_batch(U, params: FrameParams,
+                         cfg: GreedyConfig = GreedyConfig()) -> list[PrecodeResult]:
+    """greedy_precode of every row of U, with all frames in lockstep.
+
+    Each frame's result is the one it gets alone: the frames share
+    passes, never arithmetic.
+    """
+    U = np.asarray(U, dtype=complex)
+    if U.ndim != 2 or U.shape[1] != params.size:
+        raise ParameterError(
+            f"expected rows of {params.size} symbols, got shape {U.shape}")
+    for u in U:
+        _base_amplitude(u)
     M, N, MN = params.M, params.N, params.size
     cap = np.inf if cfg.max_iter is None else cfg.max_iter
-
-    x = u.copy()
-    xg = x.reshape(N, M)  # view: xg[k, l] is x[k*M + l]
-    delta = xg.copy()  # the change a flip makes: +u on ring A, -u on ring 2A
     W = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
-    pw, cand_max, cand_sum = _column_stats(xg, delta, W)
-    p_star = MN * pw.max() / pw.sum()
 
-    iterations = 0
-    flips: list[int] = []
-    while iterations < cap:
-        iterations += 1
-        col_max, col_sum = pw.max(axis=0), pw.sum(axis=0)
+    B = len(U)
+    x_star = U.copy()
+    xg = U.reshape(B, N, M).copy()  # xg[b, k, l] is x[k*M + l] of state row b
+    delta = xg.copy()  # the change a flip makes: +u on ring A, -u on ring 2A
+    # pw[n, b, l] is the power of time sample (n, l) of row b, and
+    # cand_max/cand_sum[k, b, l] the max/sum of column l's power after the
+    # flip of x[k, l].  A reduction over axis 0 adds whole (b, M) planes
+    # in n order, as a frame's own (N, M) reduction over n does.
+    pw, cand_max, cand_sum = (np.empty((N, B, M)) for _ in range(3))
+    for b in range(B):  # frame by frame: no (B, N, N, M) temporary
+        pw[:, b], cand_max[:, b], cand_sum[:, b] = _column_stats(xg[b], delta[b], W)
+    grid = _frame_rows(pw)
+    total = grid.sum(axis=1)
+    p_star = MN * grid.max(axis=1) / total
+    frame = np.arange(B)  # the frame of each state row
+    rows = np.arange(B)
+    iterations = np.zeros(B, dtype=int)
+    flips: list[list[int]] = [[] for _ in U]
+
+    passes = 0
+    while len(frame) and passes < cap:
+        passes += 1
+        col_max = pw.max(axis=0)
         if M > 1:
-            two_largest = np.partition(col_max, M - 2)[M - 2:]
-            other_max = np.where(col_max == two_largest[1],
-                                 two_largest[0], two_largest[1])
-        else:
-            other_max = np.zeros(1)
-        p_cand = MN * np.maximum(cand_max, other_max[None, :]) \
-            / (pw.sum() - col_sum[None, :] + cand_sum)
-        t = int(np.argmin(p_cand))  # first minimum == lowest flat index
-        if not p_cand.reshape(-1)[t] < p_star:
-            break
-        k, l = divmod(t, M)
-        xg[k, l] += delta[k, l]
-        delta[k, l] = -delta[k, l]
-        pw[:, l:l + 1], cand_max[:, l:l + 1], cand_sum[:, l:l + 1] = \
-            _column_stats(xg[:, l:l + 1], delta[:, l:l + 1], W)
-        p_new = MN * pw.max() / pw.sum()
-        if not p_new < p_star:
+            col_sum = pw.sum(axis=0)
+            top2 = np.partition(col_max, M - 2, axis=1)[:, M - 2:]
+            other_max = np.where(col_max == top2[:, 1:], top2[:, :1], top2[:, 1:])
+        else:  # a lone (N, 1) column sums pairwise, exactly as pw.sum() does
+            col_sum = total[:, None]
+            other_max = np.zeros((len(frame), 1))
+        p_cand = _frame_rows(MN * np.maximum(cand_max, other_max)
+                             / (total[:, None] - col_sum + cand_sum))
+        t = p_cand.argmin(axis=1)  # first minimum == lowest flat index
+        done = ~(p_cand[rows, t] < p_star)
+        c = np.flatnonzero(~done)  # the rows that commit their best flip
+        tc = t[c]
+        k, l = np.divmod(tc, M)
+        d = delta[c, k, l]
+        xg[c, k, l] += d
+        delta[c, k, l] = -d
+        pw[:, c, l], cand_max[:, c, l], cand_sum[:, c, l] = \
+            _column_stats(xg[c, :, l].T, delta[c, :, l].T, W)
+        grid = _frame_rows(pw[:, c])
+        total[c] = grid.sum(axis=1)
+        p_new = MN * grid.max(axis=1) / total[c]
+        tie = ~(p_new < p_star[c])
+        if tie.any():
             # The candidate value beat p_star but the refreshed grid does
             # not: an ulp-level tie.  Undo and stop so the committed PAPR
             # sequence stays strictly decreasing.
-            xg[k, l] += delta[k, l]
-            break
-        p_star = p_new
-        flips.append(t)
+            xg[c[tie], k[tie], l[tie]] += delta[c[tie], k[tie], l[tie]]
+            done[c[tie]] = True
+            c, tc, p_new = c[~tie], tc[~tie], p_new[~tie]
+        p_star[c] = p_new
+        for f, flip in zip(frame[c].tolist(), tc.tolist()):
+            flips[f].append(flip)
+        if done.any():  # compact the stopped frames out of the state
+            iterations[frame[done]] = passes
+            x_star[frame[done]] = xg[done].reshape(-1, MN)
+            keep = ~done
+            frame, xg, delta, total, p_star = (
+                a[keep] for a in (frame, xg, delta, total, p_star))
+            pw, cand_max, cand_sum = (a[:, keep] for a in (pw, cand_max, cand_sum))
+            rows = np.arange(len(frame))
+    iterations[frame] = passes
+    x_star[frame] = xg.reshape(-1, MN)
 
-    papr_star = papr(modulate(x, params))
-    return PrecodeResult(x_star=x, papr_star=papr_star,
-                         iterations_used=iterations, flips=flips)
+    return [PrecodeResult(x_star=x, papr_star=papr(modulate(x, params)),
+                          iterations_used=int(i), flips=f)
+            for x, i, f in zip(x_star, iterations, flips)]
 
 
 def brute_force_precode(u, params: FrameParams) -> tuple[np.ndarray, PaprSample]:

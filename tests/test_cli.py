@@ -23,6 +23,10 @@ def run_cli(*args, stdin_text=None):
                           input=stdin_text, env=ENV)
 
 
+def header_of(path):
+    return [line for line in path.read_text().splitlines() if line.startswith("#")]
+
+
 def body_of(path):
     return "".join(line for line in path.read_text().splitlines(keepends=True)
                    if not line.startswith("#"))
@@ -148,6 +152,16 @@ class TestDopplerSweepCommand:
         rows = body_of(tmp_path / "ds.csv").splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["5", "5"]
 
+    def test_header_echoes_the_swept_grid_not_the_config_value(self, tmp_path):
+        r = run_cli("doppler-sweep", "--M", "4", "--N", "4", "--frames", "1",
+                    "--nu-max-list", "0,300", "--method", "none",
+                    "--nu-max-hz", "600", "--output", str(tmp_path / "ds"))
+        assert r.returncode == 0, r.stderr
+        header = header_of(tmp_path / "ds.csv")
+        config = next(h for h in header if h.startswith("# config: "))
+        assert "nu_max_hz" not in config and "M=4 N=4" in config
+        assert "# sweep: nu_max_hz=[0,300]" in header
+
 
 class TestScalingTableCommand:
     def test_small_table(self, tmp_path):
@@ -158,6 +172,17 @@ class TestScalingTableCommand:
         lines = body_of(tmp_path / "st.csv").splitlines()
         assert lines[0] == "M,N,method,papr_db_at_ccdf_0p1"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("axis,held", [("m", "N=4"), ("n", "M=4")])
+    def test_header_echoes_the_swept_dimension(self, tmp_path, axis, held):
+        r = run_cli("scaling-table", "--M", "4", "--N", "4", "--frames", "2",
+                    f"--sweep-{axis}", "2,8", "--method", "none",
+                    "--output", str(tmp_path / "st"))
+        assert r.returncode == 0, r.stderr
+        header = header_of(tmp_path / "st.csv")
+        config = next(h for h in header if h.startswith("# config: ")).split()
+        assert held in config and f"{axis.upper()}=4" not in config
+        assert f"# sweep: {axis.upper()}=[2,8]" in header
 
     def test_bad_grid_size_fails_before_any_frame(self, tmp_path):
         r = run_cli("scaling-table", "--sweep-m", "4,0", "--frames", "2",

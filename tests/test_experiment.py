@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from otfs_papr import ExperimentConfig, ParameterError, experiment
-from otfs_papr.experiment import (csv_body, frame_rng, precode_frame,
+from otfs_papr.experiment import (csv_body, draw_info_vector, frame_rng,
+                                  precode_frame,
                                   render_ccdf_curve_csv,
                                   render_ccdf_samples_csv,
                                   render_error_rate_csv, render_scaling_csv,
@@ -165,6 +166,44 @@ class TestRunScalingTable:
         with pytest.raises(ParameterError):
             run_scaling_table(ExperimentConfig(**SMALL), sweep_m=[4, 0])
         assert calls == []
+
+
+class TestFrameChunks:
+    """The runners precode frames in lockstep chunks; per-frame results
+    must be those of the single-frame path."""
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        """Chunks of 100 symbols; records the size of every precoded chunk."""
+        sizes = []
+        batch = experiment.greedy_precode_batch
+        monkeypatch.setattr(experiment, "FRAME_CHUNK_SYMBOLS", 100)
+        monkeypatch.setattr(experiment, "greedy_precode_batch",
+                            lambda U, *a: sizes.append(len(U)) or batch(U, *a))
+        return sizes
+
+    def test_ccdf_matches_single_frame_transmit(self, chunk_sizes):
+        cfg = ExperimentConfig(M=4, N=4, frames=14, seed=21, method="proposed")
+        result = run_ccdf(cfg)
+        assert chunk_sizes == [6, 6, 2]
+        for f, value in enumerate(result.samples_db):
+            _, u = draw_info_vector(cfg, frame_rng(cfg.seed, f))
+            assert value == papr(transmit(u, "proposed", cfg).s).value_db
+
+    def test_scaling_table_and_error_rate_match_one_frame_chunks(
+            self, chunk_sizes, monkeypatch):
+        cfg = ExperimentConfig(N=4, frames=14, seed=22, method="none,proposed",
+                               snr_db_list=(6.0, 12.0))
+        runs = [lambda: run_scaling_table(cfg, sweep_m=[4, 8]).rows,
+                lambda: run_error_rate(replace(cfg, M=8)).points]
+        chunked = [run() for run in runs]
+        m4, m8 = [6, 6, 2], [3, 3, 3, 3, 2]  # 16 and 32 symbols a frame
+        assert chunk_sizes == m4 + m8 + m8 * 2
+        assert sum(p.counts.symbol_errors for p in chunked[1]) > 0
+        chunk_sizes.clear()
+        monkeypatch.setattr(experiment, "FRAME_CHUNK_SYMBOLS", 1)
+        assert [run() for run in runs] == chunked
+        assert chunk_sizes == [1] * 14 * 4
 
 
 class TestPrecodeFrame:

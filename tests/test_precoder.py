@@ -3,13 +3,14 @@ and a naive full-recomputation reference implementation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otfs_papr import (CorruptedStateError, FrameParams, GreedyConfig,
                        InstanceTooLargeError, ParameterError, PskAlphabet,
                        brute_force_precode, candidate_flip, detect_symbols,
-                       greedy_precode, modulate, papr)
+                       greedy_precode, greedy_precode_batch, modulate,
+                       papr)
 
 
 def random_psk_frame(params, D, seed, A=1.0):
@@ -276,3 +277,39 @@ def test_greedy_properties_over_random_shapes(M, N, D, max_iter, seed, A):
         for t in range(p.size):
             flipped = papr(modulate(candidate_flip(r.x_star, t, A), p))
             assert flipped.value_linear >= previous * (1 - 1e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([2, 4, 8]),
+       st.sampled_from([None, 1, 3]), st.integers(1, 9),
+       st.integers(0, 2 ** 32 - 1))
+@example(M=1, N=1, D=2, max_iter=None, batch=5, seed=0)
+@example(M=1, N=8, D=4, max_iter=None, batch=9, seed=1)
+@example(M=8, N=1, D=8, max_iter=3, batch=9, seed=2)
+def test_batch_results_do_not_depend_on_batch_membership(M, N, D, max_iter,
+                                                         batch, seed):
+    """Each frame of a lockstep batch gets exactly its result alone, also
+    when other frames stop (and are compacted out) on earlier passes."""
+    p = FrameParams(M=M, N=N)
+    cfg = GreedyConfig(max_iter=max_iter)
+    rng = np.random.default_rng(seed)
+    A = rng.choice([1.0, 0.7, 2.5], batch)[:, None]
+    U = A * np.exp(2j * np.pi * rng.integers(0, D, (batch, p.size)) / D)
+    for u, r in zip(U, greedy_precode_batch(U, p, cfg)):
+        alone = greedy_precode(u, p, cfg)
+        assert np.array_equal(r.x_star, alone.x_star)
+        assert r.iterations_used == alone.iterations_used
+        assert r.flips == alone.flips
+        assert r.papr_star == alone.papr_star
+
+
+def test_batch_rejects_rows_of_the_wrong_size_or_amplitude():
+    p = FrameParams(M=2, N=2)
+    with pytest.raises(ParameterError):
+        greedy_precode_batch(np.ones((3, 5), complex), p)
+    with pytest.raises(ParameterError):
+        greedy_precode_batch(np.ones(4, complex), p)
+    U = np.ones((2, 4), complex)
+    U[1, 3] = 2.0
+    with pytest.raises(ParameterError):
+        greedy_precode_batch(U, p)
