@@ -11,9 +11,12 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment
-from .config import (ExperimentConfig, config_from_mapping, parse_config_text,
-                     profile_from_mapping)
+from .config import (ExperimentConfig, _numbers, config_from_mapping,
+                     parse_config_text, profile_from_mapping)
 from .errors import ParameterError
+from .metrics import papr
+from .modem import modulate
+from .precoder import greedy_precode
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -128,9 +131,7 @@ def _cmd_error_rate(args) -> int:
 
 def _cmd_doppler_sweep(args) -> int:
     cfg = _load_profile_file(_build_config(args), args)
-    nus = None
-    if args.nu_max_list:
-        nus = [float(v) for v in args.nu_max_list.split(",")]
+    nus = _numbers("nu_max_list", args.nu_max_list) if args.nu_max_list else None
     result = experiment.run_doppler_sweep(cfg, nu_max_list=nus)
     csv_path = Path(cfg.output_path).with_suffix(".csv")
     _write(csv_path, experiment.render_error_rate_csv(result))
@@ -142,8 +143,8 @@ def _cmd_doppler_sweep(args) -> int:
 
 def _cmd_scaling_table(args) -> int:
     cfg = _load_profile_file(_build_config(args), args)
-    sweep_m = [int(v) for v in args.sweep_m.split(",")] if args.sweep_m else None
-    sweep_n = [int(v) for v in args.sweep_n.split(",")] if args.sweep_n else None
+    sweep_m = _numbers("sweep_m", args.sweep_m, int) if args.sweep_m else None
+    sweep_n = _numbers("sweep_n", args.sweep_n, int) if args.sweep_n else None
     result = experiment.run_scaling_table(cfg, sweep_m=sweep_m, sweep_n=sweep_n)
     csv_path = Path(cfg.output_path).with_suffix(".csv")
     _write(csv_path, experiment.render_scaling_csv(result))
@@ -158,9 +159,9 @@ def _cmd_precode(args) -> int:
     text = sys.stdin.read() if args.symbols == "-" else Path(args.symbols).read_text()
     u = [complex(line.strip().replace(" ", "")) for line in text.splitlines()
          if line.strip()]
-    result = experiment.precode_frame(u, cfg)
-    print(f"papr_before_db: {result.papr_before_db:.6f}")
-    print(f"papr_after_db:  {result.papr_after_db:.6f}")
+    result = greedy_precode(u, cfg.params, cfg.greedy)
+    print(f"papr_before_db: {papr(modulate(u, cfg.params)).value_db:.6f}")
+    print(f"papr_after_db:  {result.papr_star.value_db:.6f}")
     print(f"iterations_used: {result.iterations_used}")
     print(f"flips: {','.join(map(str, result.flips)) or '-'}")
     for v in result.x_star:

@@ -9,6 +9,7 @@ arrive as text) go through the same type coercion in
 runners use, so a bad value fails before any frame.
 """
 
+import math
 import tomllib
 from dataclasses import dataclass, field, fields
 
@@ -68,6 +69,12 @@ class ExperimentConfig:
             raise ParameterError(f"frames must be >= 1, got {self.frames}")
         if self.max_iter < 0:  # 0 is valid here (no cap), unlike in GreedyConfig
             raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not 0 <= self.nu_max_hz < math.inf:
+            raise ParameterError(
+                f"nu_max_hz must be finite and >= 0, got {self.nu_max_hz}")
+        if any(math.isnan(v) for v in self.snr_db_list):  # inf is noiseless
+            raise ParameterError(
+                f"snr_db_list must not hold NaN, got {self.snr_db_list}")
         if not self.methods:
             raise ParameterError("method must name at least one method")
         for m in self.methods:
@@ -126,22 +133,22 @@ def _number(key: str, value, kind: type):
             except ValueError:
                 pass
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"config key {key!r} expects a number, got {value!r}")
+        raise ParameterError(f"{key!r} expects a number, got {value!r}")
     if kind is float:
         return float(value)
     if isinstance(value, float) and not value.is_integer():
-        raise ParameterError(f"config key {key!r} expects an integer, got {value}")
+        raise ParameterError(f"{key!r} expects an integer, got {value}")
     return int(value)
 
 
-def _numbers(key: str, value) -> tuple:
+def _numbers(key: str, value, kind: type = float) -> tuple:
     """A list of numbers, given as a list, one number or comma-separated
-    text, as a tuple of floats."""
+    text, as a tuple of `kind` (float or int)."""
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
     elif not isinstance(value, (list, tuple)):
         value = [value]
-    return tuple(_number(key, v, float) for v in value)
+    return tuple(_number(key, v, kind) for v in value)
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:

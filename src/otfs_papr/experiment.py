@@ -82,7 +82,6 @@ class TransmitFrame:
 
     s: np.ndarray
     peak_reference: float | None = None  # companding side information
-    flips: int = 0
 
 
 def transmit(u, method: str, cfg: ExperimentConfig,
@@ -98,8 +97,7 @@ def transmit(u, method: str, cfg: ExperimentConfig,
     if method == "proposed":
         if precoded is None:
             precoded = greedy_precode(u, params, cfg.greedy)
-        return TransmitFrame(s=modulate(precoded.x_star, params),
-                             flips=len(precoded.flips))
+        return TransmitFrame(s=modulate(precoded.x_star, params))
     if method == "companding":
         s0 = modulate(u, params)
         V = float(np.abs(s0).max())
@@ -173,9 +171,9 @@ class ErrorRateResult:
     sweep: tuple = ()  # (config key, values) that the run swept in its place
 
 
-def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
-                  point_idx: int) -> list:
-    """One ErrorRatePoint per configured method at one (SNR, Doppler) point.
+def _error_points(cfg: ExperimentConfig, snr_db: float, point_idx: int) -> list:
+    """One ErrorRatePoint per configured method at one SNR, at the
+    config's maximum Doppler.
 
     Each frame's channel and its receiver blocks are drawn and built
     once, and every method gets the same unit noise draw, scaled to its
@@ -195,7 +193,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
         if profile is None:
             ch = identity_channel()
         else:
-            ch = sample_channel(profile, nu_max, params, rng)
+            ch = sample_channel(profile, cfg.nu_max_hz, params, rng)
         blocks = channel_blocks(ch, params)
         noise_state = rng.bit_generator.state
         for i, method in enumerate(methods):
@@ -218,7 +216,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, nu_max: float,
                 x_hat = dft_despread(x_hat, cfg.dft, params)
             counts[i] = counts[i] + count_errors(detect_symbols(x_hat, alphabet),
                                                  truth, alphabet.D)
-    return [ErrorRatePoint(method=method, snr_db=snr_db, nu_max_hz=nu_max,
+    return [ErrorRatePoint(method=method, snr_db=snr_db, nu_max_hz=cfg.nu_max_hz,
                            frames=cfg.frames - skipped[i], counts=counts[i],
                            skipped_frames=skipped[i], expander_clips=clips[i])
             for i, method in enumerate(methods)]
@@ -234,7 +232,7 @@ def run_error_rate(cfg: ExperimentConfig) -> ErrorRateResult:
         raise ParameterError("snr_db_list must be non-empty for error-rate runs")
     points = []
     for point_idx, snr_db in enumerate(cfg.snr_db_list):
-        points += _error_points(cfg, float(snr_db), cfg.nu_max_hz, point_idx)
+        points += _error_points(cfg, float(snr_db), point_idx)
     return ErrorRateResult(config=cfg, points=points)
 
 
@@ -249,12 +247,14 @@ def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None) -> ErrorRateResul
             f"doppler-sweep takes at most one SNR, got {cfg.snr_db_list}")
     snr_db = cfg.snr_db_list[0] if cfg.snr_db_list else DOPPLER_SWEEP_SNR_DB
     cfg = replace(cfg, snr_db_list=(snr_db,))
-    nus = DOPPLER_SWEEP_DEFAULT_HZ if nu_max_list is None else tuple(nu_max_list)
+    nus = DOPPLER_SWEEP_DEFAULT_HZ if nu_max_list is None else nu_max_list
+    # Every Doppler value is validated before the first frame runs.
+    point_cfgs = [replace(cfg, nu_max_hz=float(nu)) for nu in nus]
     points = []
-    for point_idx, nu in enumerate(nus):
-        points += _error_points(cfg, snr_db, float(nu), point_idx)
+    for point_idx, point_cfg in enumerate(point_cfgs):
+        points += _error_points(point_cfg, snr_db, point_idx)
     return ErrorRateResult(config=cfg, points=points,
-                           sweep=("nu_max_hz", tuple(float(nu) for nu in nus)))
+                           sweep=("nu_max_hz", tuple(c.nu_max_hz for c in point_cfgs)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +295,6 @@ def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> Scal
                  for method, row in zip(cfg.methods, samples)]
     return ScalingResult(config=cfg, rows=rows,
                          sweep=(key, tuple(int(v) for v in values)))
-
-
-# ---------------------------------------------------------------------------
-# Single-frame precoding (CLI `precode` subcommand)
-
-
-@dataclass(frozen=True)
-class PrecodeFrameResult:
-    x_star: np.ndarray
-    papr_before_db: float
-    papr_after_db: float
-    iterations_used: int
-    flips: list
-
-
-def precode_frame(u, cfg: ExperimentConfig) -> PrecodeFrameResult:
-    before = papr(modulate(np.asarray(u, complex), cfg.params)).value_db
-    result = greedy_precode(u, cfg.params, cfg.greedy)
-    return PrecodeFrameResult(x_star=result.x_star, papr_before_db=before,
-                              papr_after_db=result.papr_star.value_db,
-                              iterations_used=result.iterations_used,
-                              flips=list(result.flips))
 
 
 # ---------------------------------------------------------------------------

@@ -15,32 +15,20 @@ pass reads all MN candidate PAPRs off this state in O(MN), and each
 commit costs one N-point column FFT plus an N x N candidate refresh of
 column l.  An N-point FFT of a column equals that column of the full
 transform bit for bit, so the committed PAPR, read off the refreshed
-power grid, is exactly papr(modulate(x_star)).
+power grid, is exactly papr(modulate(x_star)); it is returned as
+papr_star without transforming the frame again.
 
 One kernel, greedy_precode_batch, runs a batch of B frames in lockstep;
 greedy_precode is that kernel on a batch of one.  The state is stacked
-over the frames, and each pass takes one argmin and commits at most one
-column refresh per frame, so a pass's per-call cost is paid once for
-the whole batch.  A frame stops on its own terms: a natural stop (no
-flip beats its PAPR), an ulp-level tie (the refreshed grid does not
-confirm the candidate's value, so the flip is undone) or the pass cap.
-Stopped frames are compacted out of the state, and the frames still
-searching have all run the same number of passes.
-
-Each frame gets bit for bit the result it gets alone, because every
-value is computed by the same floating-point operations in the same
-order as in a one-frame search:
-
-- elementwise arithmetic is unaffected by the other frames;
-- each column's sum over n adds the rows in n order, on a power array
-  laid out (n, frame, column) so that numpy reduces axis 0 plane by
-  plane, as it does a frame's own (N, M) grid; a one-column grid
-  (M = 1), which numpy sums pairwise, takes the frame's total instead;
-- each frame's total power is a pairwise sum over one contiguous row of
-  MN values, as pw.sum() is for a single frame;
-- a pass refreshes the committed column of every frame with one
-  _column_stats call, which transforms and reduces each column on its
-  own, as the frame's initial state was built.
+frame-major, (B, N, M), so each frame's grid is one contiguous block and
+every reduction over it is the frame's own, at any M: each frame gets
+bit for bit the result it gets alone.  Each pass takes one argmin and
+commits at most one column refresh per frame, so a pass's per-call cost
+is paid once for the whole batch.  A frame stops on its own terms: a
+natural stop (no flip beats its PAPR), an ulp-level tie (the refreshed
+grid does not confirm the candidate's value, so the flip is undone) or
+the pass cap.  Stopped frames are dropped from the state, and the frames
+still searching have all run the same number of passes.
 
 The initial state is built frame by frame, so no (B, N, N, M)
 temporary exists; the runners choose B so that a batch holds about a
@@ -121,13 +109,6 @@ def _column_stats(x_cols, delta_cols, W):
     return np.abs(s) ** 2, cpw.max(axis=0), cpw.sum(axis=0)
 
 
-def _frame_rows(a):
-    """(N, B, M) per-row grids as a (B, N*M) array, one contiguous row per
-    frame, so a row reduces exactly like that frame's own contiguous grid."""
-    N, B, M = a.shape
-    return a.transpose(1, 0, 2).reshape(B, N * M)
-
-
 def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -> PrecodeResult:
     """Iterative single-flip amplitude search over the {A, 2A} rings.
 
@@ -162,48 +143,43 @@ def greedy_precode_batch(U, params: FrameParams,
     W = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
 
     B = len(U)
-    x_star = U.copy()
+    x_star, p_out = np.empty_like(U), np.empty(B)  # filled as frames stop
     xg = U.reshape(B, N, M).copy()  # xg[b, k, l] is x[k*M + l] of state row b
     delta = xg.copy()  # the change a flip makes: +u on ring A, -u on ring 2A
-    # pw[n, b, l] is the power of time sample (n, l) of row b, and
-    # cand_max/cand_sum[k, b, l] the max/sum of column l's power after the
-    # flip of x[k, l].  A reduction over axis 0 adds whole (b, M) planes
-    # in n order, as a frame's own (N, M) reduction over n does.
-    pw, cand_max, cand_sum = (np.empty((N, B, M)) for _ in range(3))
+    # pw[b, n, l] is the power of time sample (n, l) of row b, and
+    # cand_max/cand_sum[b, k, l] the max/sum of column l's power after the
+    # flip of x[k, l].
+    pw, cand_max, cand_sum = (np.empty((B, N, M)) for _ in range(3))
     for b in range(B):  # frame by frame: no (B, N, N, M) temporary
-        pw[:, b], cand_max[:, b], cand_sum[:, b] = _column_stats(xg[b], delta[b], W)
-    grid = _frame_rows(pw)
-    total = grid.sum(axis=1)
-    p_star = MN * grid.max(axis=1) / total
+        pw[b], cand_max[b], cand_sum[b] = _column_stats(xg[b], delta[b], W)
+    total = pw.reshape(B, MN).sum(axis=1)
+    p_star = MN * pw.reshape(B, MN).max(axis=1) / total
     frame = np.arange(B)  # the frame of each state row
-    rows = np.arange(B)
     iterations = np.zeros(B, dtype=int)
     flips: list[list[int]] = [[] for _ in U]
 
     passes = 0
-    while len(frame) and passes < cap:
+    while len(frame):
         passes += 1
-        col_max = pw.max(axis=0)
+        col_max, col_sum = pw.max(axis=1, keepdims=True), pw.sum(axis=1, keepdims=True)
+        other_max = 0.0  # the peak of the other columns; none at M = 1
         if M > 1:
-            col_sum = pw.sum(axis=0)
-            top2 = np.partition(col_max, M - 2, axis=1)[:, M - 2:]
-            other_max = np.where(col_max == top2[:, 1:], top2[:, :1], top2[:, 1:])
-        else:  # a lone (N, 1) column sums pairwise, exactly as pw.sum() does
-            col_sum = total[:, None]
-            other_max = np.zeros((len(frame), 1))
-        p_cand = _frame_rows(MN * np.maximum(cand_max, other_max)
-                             / (total[:, None] - col_sum + cand_sum))
+            top2 = np.partition(col_max, M - 2, axis=2)[..., M - 2:]
+            other_max = np.where(col_max == top2[..., 1:], top2[..., :1], top2[..., 1:])
+        p_cand = (MN * np.maximum(cand_max, other_max)
+                  / (total[:, None, None] - col_sum + cand_sum))
+        p_cand = p_cand.reshape(-1, MN)
         t = p_cand.argmin(axis=1)  # first minimum == lowest flat index
-        done = ~(p_cand[rows, t] < p_star)
+        done = ~(p_cand[np.arange(len(frame)), t] < p_star)
         c = np.flatnonzero(~done)  # the rows that commit their best flip
         tc = t[c]
         k, l = np.divmod(tc, M)
         d = delta[c, k, l]
         xg[c, k, l] += d
         delta[c, k, l] = -d
-        pw[:, c, l], cand_max[:, c, l], cand_sum[:, c, l] = \
-            _column_stats(xg[c, :, l].T, delta[c, :, l].T, W)
-        grid = _frame_rows(pw[:, c])
+        stats = _column_stats(xg[c, :, l].T, delta[c, :, l].T, W)
+        pw[c, :, l], cand_max[c, :, l], cand_sum[c, :, l] = (a.T for a in stats)
+        grid = pw[c].reshape(-1, MN)
         total[c] = grid.sum(axis=1)
         p_new = MN * grid.max(axis=1) / total[c]
         tie = ~(p_new < p_star[c])
@@ -217,20 +193,20 @@ def greedy_precode_batch(U, params: FrameParams,
         p_star[c] = p_new
         for f, flip in zip(frame[c].tolist(), tc.tolist()):
             flips[f].append(flip)
-        if done.any():  # compact the stopped frames out of the state
+        if passes >= cap:  # the cap stops every frame still searching
+            done[:] = True
+        if done.any():  # drop the stopped frames from the state
             iterations[frame[done]] = passes
             x_star[frame[done]] = xg[done].reshape(-1, MN)
+            p_out[frame[done]] = p_star[done]
             keep = ~done
-            frame, xg, delta, total, p_star = (
-                a[keep] for a in (frame, xg, delta, total, p_star))
-            pw, cand_max, cand_sum = (a[:, keep] for a in (pw, cand_max, cand_sum))
-            rows = np.arange(len(frame))
-    iterations[frame] = passes
-    x_star[frame] = xg.reshape(-1, MN)
+            frame, xg, delta, pw, cand_max, cand_sum, total, p_star = (
+                a[keep] for a in (frame, xg, delta, pw, cand_max, cand_sum,
+                                  total, p_star))
 
-    return [PrecodeResult(x_star=x, papr_star=papr(modulate(x, params)),
-                          iterations_used=int(i), flips=f)
-            for x, i, f in zip(x_star, iterations, flips)]
+    return [PrecodeResult(x_star=x, iterations_used=int(i), flips=f,
+                          papr_star=PaprSample(float(p), float(10 * np.log10(p))))
+            for x, p, i, f in zip(x_star, p_out, iterations, flips)]
 
 
 def brute_force_precode(u, params: FrameParams) -> tuple[np.ndarray, PaprSample]:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import otfs_papr
-from otfs_papr import ExperimentConfig, ParameterError, cli
+from otfs_papr import (ExperimentConfig, FrameParams, ParameterError, cli,
+                       experiment, modulate, papr)
 
 CLI = [sys.executable, "-m", "otfs_papr.cli"]
 # The child imports the package from where this process found it.
@@ -208,10 +209,39 @@ class TestPrecodeCommand:
         assert r.returncode == 0, r.stderr
         assert "iterations_used:" in r.stdout
 
+    def test_reports_before_and_after(self, tmp_path, capsys):
+        symbols = tmp_path / "u.txt"
+        symbols.write_text("1+0j\n" * 4)
+        assert cli.main(["precode", "--M", "2", "--N", "2", "--modulation", "2",
+                         str(symbols)]) == 0
+        report = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("papr_"))
+        before = papr(modulate([1.0] * 4, FrameParams(M=2, N=2))).value_db
+        assert report["papr_before_db"].strip() == f"{before:.6f}"
+        assert float(report["papr_after_db"]) <= float(report["papr_before_db"])
+
     def test_bad_symbols_fail_cleanly(self):
         r = run_cli("precode", "--M", "1", "--N", "2", "-",
                     stdin_text="hello\nworld\n")
         assert r.returncode == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["doppler-sweep", "--nu-max-list", "0,abc"], "'nu_max_list' expects a number"),
+    (["doppler-sweep", "--nu-max-list", "-300"], "nu_max_hz must be finite and >= 0"),
+    (["doppler-sweep", "--nu-max-list", "0,-300"], "nu_max_hz must be finite and >= 0"),
+    (["error-rate", "--snr-db-list", "nan"], "snr_db_list must not hold NaN"),
+    (["scaling-table", "--sweep-m", "4.5"], "'sweep_m' expects an integer"),
+    (["scaling-table", "--sweep-n", "4,x"], "'sweep_n' expects a number"),
+])
+def test_bad_sweep_value_fails_before_any_frame(tmp_path, monkeypatch, capsys,
+                                                argv, named):
+    calls = []
+    monkeypatch.setattr(experiment, "_frames", lambda *a: calls.append(a))
+    assert cli.main([*argv, "--profile", "identity", "--frames", "1",
+                     "--output", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

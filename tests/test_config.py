@@ -97,6 +97,8 @@ class TestConfigConstruction:
         dict(M=0), dict(N=0), dict(delta_f=0.0), dict(modulation=1),
         dict(modulation=3), dict(amplitude=0.0), dict(mu=0.0),
         dict(icf_iterations=0), dict(icf_oversample=1),
+        dict(nu_max_hz=-300.0), dict(nu_max_hz=float("inf")),
+        dict(nu_max_hz=float("nan")), dict(snr_db_list=(10.0, float("nan"))),
     ])
     def test_stage_validation(self, bad):
         with pytest.raises(ParameterError):

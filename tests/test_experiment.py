@@ -7,7 +7,6 @@ import pytest
 
 from otfs_papr import ExperimentConfig, ParameterError, experiment
 from otfs_papr.experiment import (csv_body, draw_info_vector, frame_rng,
-                                  precode_frame,
                                   render_ccdf_curve_csv,
                                   render_ccdf_samples_csv,
                                   render_error_rate_csv, render_scaling_csv,
@@ -15,7 +14,6 @@ from otfs_papr.experiment import (csv_body, draw_info_vector, frame_rng,
                                   run_scaling_table, transmit)
 from otfs_papr.frame import FrameParams, PskAlphabet, map_bits_to_symbols
 from otfs_papr.metrics import papr
-from otfs_papr.modem import modulate
 
 SMALL = dict(M=4, N=4, frames=20, seed=9)
 
@@ -183,12 +181,18 @@ class TestFrameChunks:
         return sizes
 
     def test_ccdf_matches_single_frame_transmit(self, chunk_sizes):
-        cfg = ExperimentConfig(M=4, N=4, frames=14, seed=21, method="proposed")
-        result = run_ccdf(cfg)
-        assert chunk_sizes == [6, 6, 2]
-        for f, value in enumerate(result.samples_db):
-            _, u = draw_info_vector(cfg, frame_rng(cfg.seed, f))
-            assert value == papr(transmit(u, "proposed", cfg).s).value_db
+        for cfg, sizes in [
+                (ExperimentConfig(M=4, N=4, frames=14, seed=21, method="proposed"),
+                 [6, 6, 2]),
+                # One delay column: each frame's sums are its own at M = 1 too.
+                (ExperimentConfig(M=1, N=12, modulation=2, frames=10, seed=38,
+                                  method="proposed"), [8, 2])]:
+            chunk_sizes.clear()
+            result = run_ccdf(cfg)
+            assert chunk_sizes == sizes
+            for f, value in enumerate(result.samples_db):
+                _, u = draw_info_vector(cfg, frame_rng(cfg.seed, f))
+                assert value == papr(transmit(u, "proposed", cfg).s).value_db
 
     def test_scaling_table_and_error_rate_match_one_frame_chunks(
             self, chunk_sizes, monkeypatch):
@@ -205,12 +209,3 @@ class TestFrameChunks:
         assert [run() for run in runs] == chunked
         assert chunk_sizes == [1] * 14 * 4
 
-
-class TestPrecodeFrame:
-    def test_reports_before_and_after(self):
-        cfg = ExperimentConfig(M=2, N=2, modulation=2)
-        result = precode_frame(np.ones(4, complex), cfg)
-        params = FrameParams(M=2, N=2)
-        assert result.papr_before_db == pytest.approx(
-            papr(modulate(np.ones(4, complex), params)).value_db)
-        assert result.papr_after_db <= result.papr_before_db + 1e-12

@@ -286,6 +286,7 @@ def test_greedy_properties_over_random_shapes(M, N, D, max_iter, seed, A):
 @example(M=1, N=1, D=2, max_iter=None, batch=5, seed=0)
 @example(M=1, N=8, D=4, max_iter=None, batch=9, seed=1)
 @example(M=8, N=1, D=8, max_iter=3, batch=9, seed=2)
+@example(M=1, N=8, D=4, max_iter=None, batch=9, seed=526)
 def test_batch_results_do_not_depend_on_batch_membership(M, N, D, max_iter,
                                                          batch, seed):
     """Each frame of a lockstep batch gets exactly its result alone, also
