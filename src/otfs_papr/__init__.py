@@ -22,5 +22,5 @@ from .modem import (demodulate, dense_synthesis_matrix, modulate,
                     modulate_oracle, time_frequency_grid)
 from .precoder import (GreedyConfig, PrecodeResult, brute_force_precode,
                        candidate_flip, greedy_precode, greedy_precode_batch)
-from .receiver import (EqualizerInput, ErrorCounts, block_mmse_equalize,
-                       count_errors, dd_noise_variance, mmse_equalize)
+from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
+                       dd_noise_variance, mmse_equalize)

@@ -3,6 +3,8 @@ clipping-and-filtering, and unitary DFT spreading.
 
 These are standard textbook forms with every parameter exposed in the
 configs; they serve as reference points for the amplitude precoder.
+The stage configs declare no defaults: each default lives in
+`ExperimentConfig`, which builds them.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ _ROUND_TRIP_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class CompandingConfig:
-    mu: float = 4.0
+    mu: float
 
     def __post_init__(self):
         if not self.mu > 0:
@@ -26,9 +28,9 @@ class CompandingConfig:
 
 @dataclass(frozen=True)
 class IcfConfig:
-    clip_ratio_db: float = 4.0
-    iterations: int = 3
-    oversample_factor: int = 4
+    clip_ratio_db: float
+    iterations: int
+    oversample_factor: int
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -40,7 +42,7 @@ class IcfConfig:
 
 @dataclass(frozen=True)
 class DftSpreadConfig:
-    axis: str = "delay"
+    axis: str
 
     def __post_init__(self):
         if self.axis not in ("delay", "doppler"):

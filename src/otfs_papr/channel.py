@@ -76,10 +76,6 @@ class ChannelRealization:
     delay_taps: np.ndarray
     doppler_hz: np.ndarray
 
-    @property
-    def n_paths(self) -> int:
-        return len(self.gains)
-
 
 def identity_channel() -> ChannelRealization:
     """Deterministic single path with unit gain; for debugging chains."""

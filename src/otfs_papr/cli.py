@@ -2,7 +2,9 @@
 
 Subcommands mirror the experiment runners; every config key can come
 from a TOML config file (--config) and be overridden by the same-named
-flag.  All file output happens here, never in the library modules.
+flag.  The four runner subcommands also take --profile-file and
+--plot-script; precode takes neither.  All file output happens here,
+never in the library modules.
 """
 
 import argparse
@@ -25,20 +27,24 @@ def _add_config_flags(p: argparse.ArgumentParser):
         # Flags give text; config_from_mapping coerces it like file values.
         p.add_argument(f.metadata.get("flag", "--" + f.name.replace("_", "-")),
                        dest=f.name, help=f.metadata.get("help"))
+
+
+def _runner_parser(sub, name: str, summary: str, func) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    _add_config_flags(p)
     p.add_argument("--profile-file", help="TOML file with delays_ns, powers_db")
-    p.add_argument("--plot-script", action="store_true", dest="plot_script",
+    p.add_argument("--plot-script", action="store_true",
                    help="also emit a matplotlib script consuming the CSV")
+    p.set_defaults(func=func)
+    return p
 
 
 def _build_config(args) -> ExperimentConfig:
     mapping = parse_config_text(Path(args.config).read_text()) if args.config else {}
     mapping.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                     if getattr(args, f.name) is not None})
-    return config_from_mapping(mapping)
-
-
-def _load_profile_file(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "profile_file", None):
+    cfg = config_from_mapping(mapping)
+    if getattr(args, "profile_file", None):  # precode has no --profile-file
         profile = profile_from_mapping(
             parse_config_text(Path(args.profile_file).read_text()))
         cfg = replace(cfg, profile=profile)
@@ -96,7 +102,7 @@ _PLOTS = {
 
 
 def _maybe_write_plot_script(args, kind: str, csv_path: Path):
-    if getattr(args, "plot_script", False):
+    if args.plot_script:
         x, y, xscale, yscale, xlabel, ylabel = _PLOTS[kind]
         script = _PLOT_TEMPLATE.format(
             kind=kind, csv=str(csv_path), x=x, y=y, xscale=xscale,
@@ -105,7 +111,7 @@ def _maybe_write_plot_script(args, kind: str, csv_path: Path):
 
 
 def _cmd_ccdf(args) -> int:
-    cfg = _load_profile_file(_build_config(args), args)
+    cfg = _build_config(args)
     result = experiment.run_ccdf(cfg)
     stem = Path(cfg.output_path)
     _write(stem.with_suffix(".samples.csv"), experiment.render_ccdf_samples_csv(result))
@@ -118,7 +124,7 @@ def _cmd_ccdf(args) -> int:
 
 
 def _cmd_error_rate(args) -> int:
-    cfg = _load_profile_file(_build_config(args), args)
+    cfg = _build_config(args)
     result = experiment.run_error_rate(cfg)
     csv_path = Path(cfg.output_path).with_suffix(".csv")
     _write(csv_path, experiment.render_error_rate_csv(result))
@@ -130,7 +136,7 @@ def _cmd_error_rate(args) -> int:
 
 
 def _cmd_doppler_sweep(args) -> int:
-    cfg = _load_profile_file(_build_config(args), args)
+    cfg = _build_config(args)
     nus = _numbers("nu_max_list", args.nu_max_list) if args.nu_max_list else None
     result = experiment.run_doppler_sweep(cfg, nu_max_list=nus)
     csv_path = Path(cfg.output_path).with_suffix(".csv")
@@ -142,7 +148,7 @@ def _cmd_doppler_sweep(args) -> int:
 
 
 def _cmd_scaling_table(args) -> int:
-    cfg = _load_profile_file(_build_config(args), args)
+    cfg = _build_config(args)
     sweep_m = _numbers("sweep_m", args.sweep_m, int) if args.sweep_m else None
     sweep_n = _numbers("sweep_n", args.sweep_n, int) if args.sweep_n else None
     result = experiment.run_scaling_table(cfg, sweep_m=sweep_m, sweep_n=sweep_n)
@@ -176,24 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "Doppler sweeps and grid-size scaling tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ccdf", help="per-frame PAPR samples and CCDF curve")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_ccdf)
-
-    p = sub.add_parser("error-rate", help="SER/BER over an SNR grid")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_error_rate)
-
-    p = sub.add_parser("doppler-sweep", help="SER at fixed SNR over a Doppler grid")
-    _add_config_flags(p)
+    _runner_parser(sub, "ccdf", "per-frame PAPR samples and CCDF curve", _cmd_ccdf)
+    _runner_parser(sub, "error-rate", "SER/BER over an SNR grid", _cmd_error_rate)
+    p = _runner_parser(sub, "doppler-sweep", "SER at fixed SNR over a Doppler grid",
+                       _cmd_doppler_sweep)
     p.add_argument("--nu-max-list", help="comma-separated Doppler grid in Hz")
-    p.set_defaults(func=_cmd_doppler_sweep)
-
-    p = sub.add_parser("scaling-table", help="PAPR at CCDF 0.1 over grid sizes")
-    _add_config_flags(p)
+    p = _runner_parser(sub, "scaling-table", "PAPR at CCDF 0.1 over grid sizes",
+                       _cmd_scaling_table)
     p.add_argument("--sweep-m", help="comma-separated M values")
     p.add_argument("--sweep-n", help="comma-separated N values")
-    p.set_defaults(func=_cmd_scaling_table)
 
     p = sub.add_parser("precode", help="precode one frame of symbols")
     _add_config_flags(p)

@@ -6,7 +6,9 @@ field list by `cli._add_config_flags`.  Config files are TOML, read with
 the standard library's `tomllib`.  File values and flag values (which
 arrive as text) go through the same type coercion in
 `config_from_mapping`.  Building a config builds the stage objects the
-runners use, so a bad value fails before any frame.
+runners use, so a bad value fails before any frame.  Each setting has
+one default, here: the stage objects declare none, and each stage's own
+validator is the one check of its values.
 """
 
 import math
@@ -28,7 +30,8 @@ class ExperimentConfig:
 
     max_iter = 0 lets the greedy precoder run to its natural
     no-improvement stop, which is what reproduces the reference CCDF
-    numbers; a positive value caps the number of search passes.
+    numbers; a positive value caps the number of search passes.  The
+    value reaches GreedyConfig unchanged.
 
     profile is a named profile, "identity" (a deterministic unit-gain
     path) or a PathProfile, such as one loaded from a profile file.
@@ -36,7 +39,8 @@ class ExperimentConfig:
     Built from the fields and kept as plain attributes (not fields, so
     they are neither keys nor flags): `params` (FrameParams), `alphabet`
     (PskAlphabet), `greedy` (GreedyConfig), `companding`
-    (CompandingConfig), `icf` (IcfConfig) and `dft` (DftSpreadConfig).
+    (CompandingConfig), `icf` (IcfConfig), `dft` (DftSpreadConfig) and
+    `channel_profile` (the PathProfile; None for "identity").
     """
 
     M: int = 16
@@ -67,8 +71,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.frames < 1:
             raise ParameterError(f"frames must be >= 1, got {self.frames}")
-        if self.max_iter < 0:  # 0 is valid here (no cap), unlike in GreedyConfig
-            raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
         if not 0 <= self.nu_max_hz < math.inf:
             raise ParameterError(
                 f"nu_max_hz must be finite and >= 0, got {self.nu_max_hz}")
@@ -80,18 +82,24 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ParameterError(f"unknown method {m!r}; known: {METHODS}")
-        self.path_profile()  # raises on an unknown profile
+        profile = self.profile
+        if isinstance(profile, str):  # named_profile raises on an unknown name
+            profile = None if profile.lower() == "identity" else named_profile(profile)
+        elif not isinstance(profile, PathProfile):
+            raise ParameterError(f"profile must be a name or a PathProfile, "
+                                 f"got {profile!r}")
         # Each stage's own validator runs here, so a bad value fails
         # before any frame.
         stages = dict(
             params=FrameParams(M=self.M, N=self.N, delta_f=self.delta_f),
             alphabet=PskAlphabet(D=self.modulation, A=self.amplitude),
-            greedy=GreedyConfig(max_iter=self.max_iter or None),
+            greedy=GreedyConfig(max_iter=self.max_iter),
             companding=CompandingConfig(mu=self.mu),
             icf=IcfConfig(clip_ratio_db=self.clip_ratio_db,
                           iterations=self.icf_iterations,
                           oversample_factor=self.icf_oversample),
-            dft=DftSpreadConfig(axis=self.dft_axis))
+            dft=DftSpreadConfig(axis=self.dft_axis),
+            channel_profile=profile)
         stages["alphabet"].bits_per_symbol  # raises on a non-power-of-two order
         for name, stage in stages.items():
             object.__setattr__(self, name, stage)
@@ -100,17 +108,6 @@ class ExperimentConfig:
     def methods(self) -> tuple:
         """Comma-separated method field split into individual methods."""
         return tuple(m.strip() for m in self.method.split(",") if m.strip())
-
-    def path_profile(self) -> PathProfile | None:
-        """The channel's path profile; None for the identity channel."""
-        if isinstance(self.profile, PathProfile):
-            return self.profile
-        if not isinstance(self.profile, str):
-            raise ParameterError(f"profile must be a name or a PathProfile, "
-                                 f"got {self.profile!r}")
-        if self.profile.lower() == "identity":
-            return None
-        return named_profile(self.profile)
 
 
 def parse_config_text(text: str) -> dict:

@@ -181,7 +181,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, point_idx: int) -> list:
     before any frame.
     """
     params, alphabet = cfg.params, cfg.alphabet
-    profile = cfg.path_profile()
+    profile = cfg.channel_profile
     if profile is not None:
         check_taps_below_m(delay_taps(profile, params), params)
     methods = cfg.methods

@@ -5,7 +5,7 @@ amplitude may be doubled without losing information.  Over the 2^(MN)
 choices of per-symbol amplitude {A, 2A} the greedy search repeatedly
 evaluates all MN single-symbol amplitude flips of the current vector,
 commits the one that lowers the frame PAPR the most, and stops when no
-single flip improves (or when an iteration cap is hit).
+single flip improves (or when a positive pass cap is hit).
 
 The search keeps one state per delay column l: the power of column l
 of the time frame and, for each candidate flip in that column, the max
@@ -50,15 +50,15 @@ _AMPLITUDE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    """max_iter caps the number of search passes; None runs until no
-    single flip improves (the search always terminates: each committed
+    """A positive max_iter caps the number of search passes; 0 runs until
+    no single flip improves (the search always terminates: each committed
     flip strictly lowers the PAPR over a finite candidate space)."""
 
-    max_iter: int | None = 5
+    max_iter: int
 
     def __post_init__(self):
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1 or None, got {self.max_iter}")
+        if self.max_iter < 0:
+            raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,16 @@ def _column_stats(x_cols, delta_cols, W):
     return np.abs(s) ** 2, cpw.max(axis=0), cpw.sum(axis=0)
 
 
-def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -> PrecodeResult:
+def greedy_precode(u, params: FrameParams, cfg: GreedyConfig) -> PrecodeResult:
     """Iterative single-flip amplitude search over the {A, 2A} rings.
 
     Each pass evaluates the PAPR of all MN single-flip candidates of the
     best vector found so far, ties broken toward the lowest flat index.
     The best candidate is committed only if strictly better; otherwise
-    the search stops.  iterations_used counts passes, including the
-    final non-improving one.  This is greedy_precode_batch on a batch of
-    one frame.
+    the search stops, as it does after cfg.max_iter passes when that is
+    positive.  iterations_used counts passes, including the final
+    non-improving one.  This is greedy_precode_batch on a batch of one
+    frame.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (params.size,):
@@ -125,8 +126,7 @@ def greedy_precode(u, params: FrameParams, cfg: GreedyConfig = GreedyConfig()) -
     return greedy_precode_batch(u[None, :], params, cfg)[0]
 
 
-def greedy_precode_batch(U, params: FrameParams,
-                         cfg: GreedyConfig = GreedyConfig()) -> list[PrecodeResult]:
+def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[PrecodeResult]:
     """greedy_precode of every row of U, with all frames in lockstep.
 
     Each frame's result is the one it gets alone: the frames share
@@ -139,7 +139,7 @@ def greedy_precode_batch(U, params: FrameParams,
     for u in U:
         _base_amplitude(u)
     M, N, MN = params.M, params.N, params.size
-    cap = np.inf if cfg.max_iter is None else cfg.max_iter
+    cap = np.inf if cfg.max_iter == 0 else cfg.max_iter
     W = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
 
     B = len(U)

@@ -6,9 +6,12 @@ is the time-domain one (H^H H + c I) z = H^H r with x = demodulate(z)
 and the same loading c.  block_mmse_equalize solves the time-domain
 system from the channel's blocks (channel.channel_blocks) in O(N*M^3)
 time and O(N*M^2) memory; mmse_equalize solves the dense DD system and
-is its oracle.
+is its oracle.  Both take the same loading c = sigma2_dd/Es, the
+per-element DD noise variance over the symbol energy, and reject a
+negative or non-finite one.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,26 +19,6 @@ import numpy as np
 from .channel import ChannelBlocks
 from .errors import EqualizerError, ParameterError
 from .frame import FrameParams, check_dense_size, gray_encode
-
-
-@dataclass(frozen=True)
-class EqualizerInput:
-    """DD-domain observations with the exact channel and noise level.
-
-    y = H_eff @ x + w with white DD-domain noise of per-element variance
-    sigma2_dd; Es is the symbol energy assumed by the regularizer.
-    """
-
-    y: np.ndarray
-    H_eff: np.ndarray
-    sigma2_dd: float
-    Es: float
-
-    def __post_init__(self):
-        if self.sigma2_dd < 0:
-            raise ParameterError(f"sigma2_dd must be >= 0, got {self.sigma2_dd}")
-        if not self.Es > 0:
-            raise ParameterError(f"Es must be positive, got {self.Es}")
 
 
 @dataclass(frozen=True)
@@ -72,21 +55,27 @@ def dd_noise_variance(sigma2_td: float, params: FrameParams) -> float:
     return sigma2_td / params.N
 
 
-def mmse_equalize(inp: EqualizerInput) -> np.ndarray:
+def _check_loading(loading: float):
+    if not 0 <= loading < math.inf:
+        raise ParameterError(f"loading must be finite and >= 0, got {loading}")
+
+
+def mmse_equalize(H_eff, y, loading: float) -> np.ndarray:
     """Linear MMSE symbol estimates from the dense DD matrix (oracle).
 
-    Solves (H^H H + (sigma2_dd/Es) I) x = H^H y with a direct linear
-    solve; deterministic for fixed inputs.  Raises EqualizerError when
-    the solve fails or returns non-finite values.
+    Solves (H^H H + loading I) x = H^H y for y = H_eff @ x + w with a
+    direct linear solve; deterministic for fixed inputs.  Raises
+    EqualizerError when the solve fails or returns non-finite values.
     """
-    H = np.asarray(inp.H_eff, dtype=complex)
-    y = np.asarray(inp.y, dtype=complex)
+    _check_loading(loading)
+    H = np.asarray(H_eff, dtype=complex)
+    y = np.asarray(y, dtype=complex)
     n = H.shape[0]
     if H.shape != (n, n) or y.shape != (n,):
         raise ParameterError(f"shape mismatch: H {H.shape}, y {y.shape}")
     check_dense_size(n, "mmse_equalize's Gram matrix")
     gram = H.conj().T @ H
-    gram[np.diag_indices(n)] += inp.sigma2_dd / inp.Es
+    gram[np.diag_indices(n)] += loading
     try:
         x_hat = np.linalg.solve(gram, H.conj().T @ y)
     except np.linalg.LinAlgError as exc:
@@ -112,6 +101,7 @@ def block_mmse_equalize(blocks: ChannelBlocks, r, loading: float) -> np.ndarray:
     Raises EqualizerError when a solve fails or returns non-finite
     values.
     """
+    _check_loading(loading)
     params = blocks.params
     N, M = params.N, params.M
     r = np.asarray(r, dtype=complex)

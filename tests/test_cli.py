@@ -225,6 +225,18 @@ class TestPrecodeCommand:
                     stdin_text="hello\nworld\n")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("flag", [["--plot-script"],
+                                      ["--profile-file", "/nonexistent.toml"]])
+    def test_runner_only_flags_are_rejected(self, tmp_path, capsys, flag):
+        """precode writes no CSV and runs no channel, so it has no
+        --plot-script or --profile-file to ignore."""
+        symbols = tmp_path / "u.txt"
+        symbols.write_text("1+0j\n" * 4)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["precode", str(symbols), "--M", "2", "--N", "2", *flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv, named", [
     (["doppler-sweep", "--nu-max-list", "0,abc"], "'nu_max_list' expects a number"),

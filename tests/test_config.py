@@ -1,9 +1,13 @@
 """Flat config parsing and ExperimentConfig construction."""
 
+from dataclasses import MISSING, fields
+
 import pytest
 
-from otfs_papr import (ETU300_PROFILE, ExperimentConfig, ParameterError,
-                       PathProfile, config_from_mapping, parse_config_text)
+from otfs_papr import (ETU300_PROFILE, CompandingConfig, DftSpreadConfig,
+                       ExperimentConfig, GreedyConfig, IcfConfig,
+                       ParameterError, PathProfile, config_from_mapping,
+                       parse_config_text)
 from otfs_papr.config import config_summary, profile_from_mapping
 
 SAMPLE = """
@@ -130,6 +134,41 @@ class TestConfigConstruction:
         cfg = ExperimentConfig(profile=PathProfile((0.0, 1000.0), (0.0, -3.0)))
         assert "profile=PathProfile(delays_ns=[0,1000],powers_db=[0,-3]) " \
             in config_summary(cfg)
+
+
+class TestStageObjects:
+    """Each setting has one default, in ExperimentConfig, and reaches its
+    stage object unchanged."""
+
+    @pytest.mark.parametrize("stage", [GreedyConfig, CompandingConfig, IcfConfig,
+                                       DftSpreadConfig], ids=lambda c: c.__name__)
+    def test_method_stage_configs_declare_no_defaults(self, stage):
+        assert all(f.default is MISSING and f.default_factory is MISSING
+                   for f in fields(stage))
+
+    @pytest.mark.parametrize("key, value, stage, attr", [
+        ("max_iter", 0, "greedy", "max_iter"),
+        ("max_iter", 7, "greedy", "max_iter"),
+        ("mu", 2.5, "companding", "mu"),
+        ("clip_ratio_db", 6.0, "icf", "clip_ratio_db"),
+        ("icf_iterations", 2, "icf", "iterations"),
+        ("icf_oversample", 3, "icf", "oversample_factor"),
+        ("dft_axis", "doppler", "dft", "axis"),
+    ])
+    def test_value_reaches_its_stage_unchanged(self, key, value, stage, attr):
+        assert getattr(getattr(ExperimentConfig(**{key: value}), stage), attr) == value
+
+    def test_profile_resolves_once(self):
+        assert ExperimentConfig(profile="identity").channel_profile is None
+        assert ExperimentConfig(profile="Identity").channel_profile is None
+        assert ExperimentConfig(profile="etu300").channel_profile is ETU300_PROFILE
+        two_tap = PathProfile((0.0, 1000.0), (0.0, -3.0))
+        assert ExperimentConfig(profile=two_tap).channel_profile is two_tap
+
+    def test_greedy_config_rejects_only_a_negative_cap(self):
+        assert GreedyConfig(max_iter=0).max_iter == 0  # the natural stop
+        with pytest.raises(ParameterError, match="max_iter"):
+            GreedyConfig(max_iter=-1)
 
 
 class TestProfileFromMapping:

@@ -26,7 +26,7 @@ def naive_greedy(u, params, max_iter):
     p_star = papr(modulate(x, params)).value_linear
     iterations = 0
     flips = []
-    cap = np.inf if max_iter is None else max_iter
+    cap = np.inf if max_iter == 0 else max_iter
     while iterations < cap:
         iterations += 1
         values = [papr(modulate(candidate_flip(x, t, A), params)).value_linear
@@ -99,7 +99,7 @@ class TestGreedyHandTraces:
     def test_rejects_non_constant_amplitude_input(self):
         with pytest.raises(ParameterError):
             greedy_precode(np.array([1.0, 2.0], complex), FrameParams(M=1, N=2),
-                           GreedyConfig())
+                           GreedyConfig(max_iter=5))
 
 
 class TestBruteForce:
@@ -134,7 +134,8 @@ GRIDS = [(2, 2, 2), (4, 2, 4), (2, 4, 2), (3, 4, 4), (4, 3, 2)]
 
 class TestGreedyProperties:
     @pytest.mark.parametrize("M,N,D", GRIDS)
-    @pytest.mark.parametrize("max_iter", [5, None])
+    # 0 runs to the natural stop; its id names the absent cap.
+    @pytest.mark.parametrize("max_iter", [5, pytest.param(0, id="None")])
     def test_sandwich_membership_and_flip_budget(self, M, N, D, max_iter):
         p = FrameParams(M=M, N=N)
         for seed in range(8):
@@ -146,7 +147,7 @@ class TestGreedyProperties:
             assert r.papr_star.value_linear <= uncomp * (1 + 1e-12)
             ratio = r.x_star / u
             assert np.all(np.isclose(ratio, 1.0) | np.isclose(ratio, 2.0))
-            if max_iter is not None:
+            if max_iter:
                 assert r.iterations_used <= max_iter
                 assert len(r.flips) <= max_iter
 
@@ -155,7 +156,7 @@ class TestGreedyProperties:
         p = FrameParams(M=M, N=N)
         for seed in range(6):
             u = random_psk_frame(p, D, seed + 50)
-            r = greedy_precode(u, p, GreedyConfig(max_iter=None))
+            r = greedy_precode(u, p, GreedyConfig(max_iter=0))
             x = u.copy()
             previous = papr(modulate(x, p)).value_linear
             for t in r.flips:
@@ -169,14 +170,14 @@ class TestGreedyProperties:
         p = FrameParams(M=4, N=4)
         for seed in range(6):
             u = random_psk_frame(p, 4, seed + 9)
-            r = greedy_precode(u, p, GreedyConfig(max_iter=None))
+            r = greedy_precode(u, p, GreedyConfig(max_iter=0))
             assert r.papr_star.value_linear == papr(modulate(r.x_star, p)).value_linear
 
     def test_deterministic_for_identical_inputs(self):
         p = FrameParams(M=4, N=4)
         u = random_psk_frame(p, 4, 123)
-        r1 = greedy_precode(u, p, GreedyConfig(max_iter=None))
-        r2 = greedy_precode(u.copy(), p, GreedyConfig(max_iter=None))
+        r1 = greedy_precode(u, p, GreedyConfig(max_iter=0))
+        r2 = greedy_precode(u.copy(), p, GreedyConfig(max_iter=0))
         assert np.array_equal(r1.x_star, r2.x_star)
         assert r1.papr_star == r2.papr_star
         assert r1.flips == r2.flips
@@ -186,7 +187,7 @@ class TestGreedyProperties:
         a = PskAlphabet(D=4)
         for seed in range(4):
             u = random_psk_frame(p, 4, seed + 77)
-            r = greedy_precode(u, p, GreedyConfig(max_iter=None))
+            r = greedy_precode(u, p, GreedyConfig(max_iter=0))
             assert np.array_equal(detect_symbols(r.x_star, a),
                                   detect_symbols(u, a))
 
@@ -214,7 +215,7 @@ class TestAgainstNaiveReference:
         p = FrameParams(M=M, N=N)
         for seed in range(5):
             u = random_psk_frame(p, D, seed + 31)
-            r = greedy_precode(u, p, GreedyConfig(max_iter=None))
+            r = greedy_precode(u, p, GreedyConfig(max_iter=0))
             x = u.copy()
             for t in r.flips:
                 values = np.array([
@@ -232,7 +233,7 @@ class TestAgainstNaiveReference:
         p = FrameParams(M=M, N=N)
         for seed in range(5):
             u = random_psk_frame(p, D, seed + 61)
-            r = greedy_precode(u, p, GreedyConfig(max_iter=None))
+            r = greedy_precode(u, p, GreedyConfig(max_iter=0))
             final = r.papr_star.value_linear
             for t in range(p.size):
                 flipped = papr(modulate(candidate_flip(r.x_star, t, 1.0), p))
@@ -244,8 +245,8 @@ class TestAgainstNaiveReference:
         agreements = 0
         for seed in range(6):
             u = random_psk_frame(p, D, seed + 97)
-            r = greedy_precode(u, p, GreedyConfig(max_iter=None))
-            x_ref, p_ref, it_ref, flips_ref = naive_greedy(u, p, None)
+            r = greedy_precode(u, p, GreedyConfig(max_iter=0))
+            x_ref, p_ref, it_ref, flips_ref = naive_greedy(u, p, 0)
             if r.flips == flips_ref:
                 agreements += 1
                 assert r.iterations_used == it_ref
@@ -256,7 +257,7 @@ class TestAgainstNaiveReference:
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 4, 8]),
-       st.one_of(st.none(), st.integers(1, 5)), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.just(0), st.integers(1, 5)), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([1.0, 0.7, 2.5]))
 def test_greedy_properties_over_random_shapes(M, N, D, max_iter, seed, A):
     """M = 1 or N = 1 runs the single-column and single-row edge cases."""
@@ -281,12 +282,12 @@ def test_greedy_properties_over_random_shapes(M, N, D, max_iter, seed, A):
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([2, 4, 8]),
-       st.sampled_from([None, 1, 3]), st.integers(1, 9),
+       st.sampled_from([0, 1, 3]), st.integers(1, 9),
        st.integers(0, 2 ** 32 - 1))
-@example(M=1, N=1, D=2, max_iter=None, batch=5, seed=0)
-@example(M=1, N=8, D=4, max_iter=None, batch=9, seed=1)
+@example(M=1, N=1, D=2, max_iter=0, batch=5, seed=0)
+@example(M=1, N=8, D=4, max_iter=0, batch=9, seed=1)
 @example(M=8, N=1, D=8, max_iter=3, batch=9, seed=2)
-@example(M=1, N=8, D=4, max_iter=None, batch=9, seed=526)
+@example(M=1, N=8, D=4, max_iter=0, batch=9, seed=526)
 def test_batch_results_do_not_depend_on_batch_membership(M, N, D, max_iter,
                                                          batch, seed):
     """Each frame of a lockstep batch gets exactly its result alone, also
@@ -305,12 +306,12 @@ def test_batch_results_do_not_depend_on_batch_membership(M, N, D, max_iter,
 
 
 def test_batch_rejects_rows_of_the_wrong_size_or_amplitude():
-    p = FrameParams(M=2, N=2)
+    p, cfg = FrameParams(M=2, N=2), GreedyConfig(max_iter=5)
     with pytest.raises(ParameterError):
-        greedy_precode_batch(np.ones((3, 5), complex), p)
+        greedy_precode_batch(np.ones((3, 5), complex), p, cfg)
     with pytest.raises(ParameterError):
-        greedy_precode_batch(np.ones(4, complex), p)
+        greedy_precode_batch(np.ones(4, complex), p, cfg)
     U = np.ones((2, 4), complex)
     U[1, 3] = 2.0
     with pytest.raises(ParameterError):
-        greedy_precode_batch(U, p)
+        greedy_precode_batch(U, p, cfg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfs_papr import (ChannelRealization, EqualizerInput, ExperimentConfig,
+from otfs_papr import (ChannelRealization, ExperimentConfig,
                        FrameParams, InstanceTooLargeError, ParameterError,
                        PathProfile, add_awgn, apply_channel, channel,
                        channel_blocks, count_errors, dd_noise_variance,
@@ -44,13 +44,13 @@ class TestDdNoiseVariance:
 class TestMmseEqualize:
     def test_identity_channel_zero_noise_passthrough(self):
         y = np.array([1.0 + 2j, -0.5, 3j])
-        out = mmse_equalize(EqualizerInput(y=y, H_eff=np.eye(3), sigma2_dd=0.0, Es=1.0))
+        out = mmse_equalize(np.eye(3), y, 0.0)
         assert np.allclose(out, y, atol=1e-12)
 
     def test_identity_channel_scalar_shrinkage(self):
         y = np.exp(1j * np.array([0.1, 2.0, -1.3]))
         sigma2 = 0.25
-        out = mmse_equalize(EqualizerInput(y=y, H_eff=np.eye(3), sigma2_dd=sigma2, Es=1.0))
+        out = mmse_equalize(np.eye(3), y, sigma2)
         assert np.allclose(out, y / (1 + sigma2), atol=1e-12)
         assert np.allclose(np.angle(out), np.angle(y))
 
@@ -62,17 +62,16 @@ class TestMmseEqualize:
             H = effective_dd_matrix(ch, params)
             x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             y = demodulate(apply_channel(modulate(x, params), ch, params), params)
-            x_hat = mmse_equalize(EqualizerInput(y=y, H_eff=H, sigma2_dd=0.0, Es=1.0))
+            x_hat = mmse_equalize(H, y, 0.0)
             assert np.linalg.norm(x_hat - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_phase_equivariance(self):
         rng = np.random.default_rng(2)
         H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        base = mmse_equalize(EqualizerInput(y=y, H_eff=H, sigma2_dd=0.3, Es=1.0))
+        base = mmse_equalize(H, y, 0.3)
         phi = np.exp(0.77j)
-        rotated = mmse_equalize(EqualizerInput(y=phi * y, H_eff=phi * H,
-                                               sigma2_dd=0.3, Es=1.0))
+        rotated = mmse_equalize(phi * H, phi * y, 0.3)
         assert np.allclose(base, rotated, atol=1e-12)
 
     def test_converges_to_zero_forcing(self):
@@ -82,17 +81,16 @@ class TestMmseEqualize:
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         y = H @ x
         zf = np.linalg.solve(H, y)
-        near = mmse_equalize(EqualizerInput(y=y, H_eff=H, sigma2_dd=1e-12, Es=1.0))
+        near = mmse_equalize(H, y, 1e-12)
         assert np.max(np.abs(near - zf)) <= 1e-6
 
     def test_input_validation(self):
         with pytest.raises(ParameterError):
-            mmse_equalize(EqualizerInput(y=np.ones(3), H_eff=np.eye(4),
-                                         sigma2_dd=0.0, Es=1.0))
+            mmse_equalize(np.eye(4), np.ones(3), 0.0)
         with pytest.raises(ParameterError):
-            EqualizerInput(y=np.ones(3), H_eff=np.eye(3), sigma2_dd=-1.0, Es=1.0)
+            mmse_equalize(np.eye(3), np.ones(3), -1.0)  # sigma2_dd < 0
         with pytest.raises(ParameterError):
-            EqualizerInput(y=np.ones(3), H_eff=np.eye(3), sigma2_dd=0.0, Es=0.0)
+            mmse_equalize(np.eye(3), np.ones(3), float("nan"))  # 0 / Es, Es = 0
 
 
 def random_channel(M, n_taps, rng):
@@ -117,11 +115,32 @@ def test_block_solve_matches_dense_oracle(M, N, n_taps, loading, seed):
     assert np.allclose(via_blocks.reshape(-1), apply_channel(s, ch, params),
                        rtol=0, atol=1e-12 * np.linalg.norm(s))
     r = rng.standard_normal(params.size) + 1j * rng.standard_normal(params.size)
-    want = mmse_equalize(EqualizerInput(y=demodulate(r, params),
-                                        H_eff=effective_dd_matrix(ch, params),
-                                        sigma2_dd=loading, Es=1.0))
+    want = mmse_equalize(effective_dd_matrix(ch, params), demodulate(r, params),
+                         loading)
     got = demodulate(block_mmse_equalize(blocks, r, loading), params)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+# Each MMSE solver on (channel, params, received frame, loading).
+SOLVERS = {
+    "dense": lambda ch, params, r, loading: mmse_equalize(
+        effective_dd_matrix(ch, params), demodulate(r, params), loading),
+    "block": lambda ch, params, r, loading: block_mmse_equalize(
+        channel_blocks(ch, params), r, loading),
+}
+
+
+@pytest.mark.parametrize("loading", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_bad_loading_rejected(solver, loading):
+    """A negative loading makes the normal equations indefinite and a
+    non-finite one leaves no estimate; both solvers refuse them."""
+    params = FrameParams(M=4, N=3)
+    rng = np.random.default_rng(6)
+    ch = random_channel(params.M, 2, rng)
+    r = rng.standard_normal(params.size) + 1j * rng.standard_normal(params.size)
+    with pytest.raises(ParameterError, match="loading"):
+        SOLVERS[solver](ch, params, r, loading)
 
 
 class TestBlockMmseEqualize:
@@ -187,8 +206,7 @@ class TestDenseSizeGuards:
         # A read-only broadcast view, so the test allocates no n x n array.
         H = np.broadcast_to(np.zeros(1, complex), (n, n))
         with pytest.raises(InstanceTooLargeError):
-            mmse_equalize(EqualizerInput(y=np.zeros(n, complex), H_eff=H,
-                                         sigma2_dd=0.1, Es=1.0))
+            mmse_equalize(H, np.zeros(n, complex), 0.1)
 
     def test_limit_admits_64_by_16(self):
         params = FrameParams(M=64, N=16)
