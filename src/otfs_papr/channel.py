@@ -15,6 +15,7 @@ matrices (time_domain_matrix, effective_dd_matrix) are oracles for small
 grids, guarded to MN <= DENSE_MAX_SIZE.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,16 +172,22 @@ class ChannelBlocks:
     r_b = D[b] @ s_b + E[b] @ s_{b-1}.  The Gram matrix H^H H is then
     block-cyclic tridiagonal, with diagonal blocks
     gram[j] = D[j]^H D[j] + E[j+1]^H E[j+1] and sub-diagonal blocks
-    lower[j] = D[j]^H E[j] at (j, j-1).  All arrays are (N, M, M).  At
-    N = 1 and N = 2, lower's cyclic corner blocks land on the same
-    block position as another term and add to it.
+    D[j]^H E[j] at (j, j-1).  D, E and gram are (N, M, M).
+
+    With L the largest delay tap, E[j] is zero outside its first L rows
+    and last L columns, and D[j] is lower triangular, so D[j]^H E[j] is
+    zero outside its top-right L x L corner: rows below L, columns from
+    M - L.  lower_corner (N, L, L) holds those corners; every coupling
+    between blocks has rank at most L.  At N = 1 and N = 2, the cyclic
+    corner blocks land on the same block position as another term and
+    add to it.
     """
 
     params: FrameParams
     D: np.ndarray
     E: np.ndarray
     gram: np.ndarray
-    lower: np.ndarray
+    lower_corner: np.ndarray
 
 
 def channel_blocks(ch: ChannelRealization, params: FrameParams) -> ChannelBlocks:
@@ -200,9 +207,10 @@ def channel_blocks(ch: ChannelRealization, params: FrameParams) -> ChannelBlocks
         D[:, q[l:], q[l:] - l] += phase[:, l:]
         E[:, q[:l], q[:l] + M - l] += phase[:, :l]
     DH, EH = D.conj().swapaxes(1, 2), E.conj().swapaxes(1, 2)
+    L = int(np.max(ch.delay_taps, initial=0))
     return ChannelBlocks(params=params, D=D, E=E,
                          gram=DH @ D + np.roll(EH @ E, -1, axis=0),
-                         lower=DH @ E)
+                         lower_corner=DH[:, :L, :L] @ E[:, :L, M - L:])
 
 
 def add_awgn(r, sigma2: float, rng: np.random.Generator) -> np.ndarray:
@@ -217,16 +225,33 @@ def add_awgn(r, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     return r + np.sqrt(sigma2 / 2.0) * w
 
 
+def finite_noise(snr_db: float) -> bool:
+    """Whether snr_db gives a finite noise variance.  NaN does not, nor
+    does an SNR so low that 10^(-snr_db/10) overflows: -inf, and about
+    -3,082.5 dB and below."""
+    try:
+        return 10.0 ** (-snr_db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
 def calibrate_noise(snr_db: float, r) -> float:
     """Per-sample noise variance from the received frame's mean power.
 
     SNR is referenced at the receiver: sigma2 = mean|r|^2 / 10^(snr/10).
-    An infinite snr_db yields exactly zero noise.
+    An infinite snr_db, and any above about 3,083 dB, where 10^(snr/10)
+    overflows, yields exactly zero noise.  An snr_db without a finite
+    noise variance (finite_noise) raises ParameterError.
     """
+    if not finite_noise(snr_db):
+        raise ParameterError(
+            f"snr_db must not be NaN, -inf or below about -3082.5 dB, where "
+            f"the noise power overflows; got {snr_db}")
     r = np.asarray(r, dtype=complex)
     power = float(np.mean(np.abs(r) ** 2))
     if power == 0:
         raise ParameterError("cannot calibrate noise against an all-zero frame")
-    if np.isinf(snr_db):
+    try:
+        return power / 10.0 ** (snr_db / 10.0)
+    except OverflowError:
         return 0.0
-    return power / 10.0 ** (snr_db / 10.0)

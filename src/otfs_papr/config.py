@@ -16,7 +16,7 @@ import tomllib
 from dataclasses import dataclass, field, fields
 
 from .baselines import CompandingConfig, DftSpreadConfig, IcfConfig
-from .channel import PathProfile, named_profile
+from .channel import PathProfile, finite_noise, named_profile
 from .errors import ParameterError
 from .frame import FrameParams, PskAlphabet
 from .precoder import GreedyConfig
@@ -74,9 +74,11 @@ class ExperimentConfig:
         if not 0 <= self.nu_max_hz < math.inf:
             raise ParameterError(
                 f"nu_max_hz must be finite and >= 0, got {self.nu_max_hz}")
-        if any(math.isnan(v) for v in self.snr_db_list):  # inf is noiseless
+        if not all(map(finite_noise, self.snr_db_list)):  # inf is noiseless
             raise ParameterError(
-                f"snr_db_list must not hold NaN, got {self.snr_db_list}")
+                f"snr_db_list must not hold NaN, -inf or a value below about "
+                f"-3082.5 dB, where the noise power overflows; got "
+                f"{self.snr_db_list}")
         if not self.methods:
             raise ParameterError("method must name at least one method")
         for m in self.methods:

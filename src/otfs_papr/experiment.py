@@ -22,7 +22,7 @@ from .channel import (add_awgn, apply_channel, calibrate_noise, channel_blocks,
                       check_taps_below_m, delay_taps, identity_channel,
                       sample_channel)
 from .config import ExperimentConfig, config_summary
-from .errors import EqualizerError, ParameterError
+from .errors import ParameterError
 from .frame import detect_symbols, map_bits_to_symbols
 from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
 from .modem import demodulate, modulate
@@ -177,8 +177,9 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, point_idx: int) -> list:
 
     Each frame's channel and its receiver blocks are drawn and built
     once, and every method gets the same unit noise draw, scaled to its
-    own received power.  A profile with a delay tap at or above M fails
-    before any frame.
+    own received power.  One block_mmse_equalize call solves every
+    method's frame; a method whose solve fails skips that frame alone.
+    A profile with a delay tap at or above M fails before any frame.
     """
     params, alphabet = cfg.params, cfg.alphabet
     profile = cfg.channel_profile
@@ -196,6 +197,7 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, point_idx: int) -> list:
             ch = sample_channel(profile, cfg.nu_max_hz, params, rng)
         blocks = channel_blocks(ch, params)
         noise_state = rng.bit_generator.state
+        received, loading = [], []
         for i, method in enumerate(methods):
             tx = transmit(u, method, cfg, precoded)
             r0 = apply_channel(tx.s, ch, params)
@@ -205,13 +207,14 @@ def _error_points(cfg: ExperimentConfig, snr_db: float, point_idx: int) -> list:
             if method == "companding":
                 clips[i] += clip_count(r, tx.peak_reference)
                 r = mu_expand(r, cfg.companding, tx.peak_reference)
-            try:
-                z = block_mmse_equalize(
-                    blocks, r, dd_noise_variance(sigma2, params) / alphabet.A ** 2)
-            except EqualizerError:
+            received.append(r)
+            loading.append(dd_noise_variance(sigma2, params) / alphabet.A ** 2)
+        z = block_mmse_equalize(blocks, np.array(received), np.array(loading))
+        for i, method in enumerate(methods):
+            if np.isnan(z[i, 0]):  # the receiver failed on this method's frame
                 skipped[i] += 1
                 continue
-            x_hat = demodulate(z, params)
+            x_hat = demodulate(z[i], params)
             if method == "dft":
                 x_hat = dft_despread(x_hat, cfg.dft, params)
             counts[i] = counts[i] + count_errors(detect_symbols(x_hat, alphabet),

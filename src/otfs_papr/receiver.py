@@ -5,10 +5,11 @@ The modulator is S = F_N^H kron I_M with S S^H = N I, so this system
 is the time-domain one (H^H H + c I) z = H^H r with x = demodulate(z)
 and the same loading c.  block_mmse_equalize solves the time-domain
 system from the channel's blocks (channel.channel_blocks) in O(N*M^3)
-time and O(N*M^2) memory; mmse_equalize solves the dense DD system and
-is its oracle.  Both take the same loading c = sigma2_dd/Es, the
-per-element DD noise variance over the symbol energy, and reject a
-negative or non-finite one.
+time and O(N*M^2) memory, for a whole stack of frames on one channel
+at once; mmse_equalize solves the dense DD system and is its oracle.
+Both take the same loading c = sigma2_dd/Es, the per-element DD noise
+variance over the symbol energy, and reject a negative or non-finite
+one.
 """
 
 import math
@@ -55,8 +56,9 @@ def dd_noise_variance(sigma2_td: float, params: FrameParams) -> float:
     return sigma2_td / params.N
 
 
-def _check_loading(loading: float):
-    if not 0 <= loading < math.inf:
+def _check_loading(loading):
+    loading = np.asarray(loading)
+    if not np.all((0 <= loading) & (loading < math.inf)):
         raise ParameterError(f"loading must be finite and >= 0, got {loading}")
 
 
@@ -89,57 +91,109 @@ def _adjoint(blocks: np.ndarray) -> np.ndarray:
     return blocks.conj().swapaxes(-1, -2)
 
 
-def block_mmse_equalize(blocks: ChannelBlocks, r, loading: float) -> np.ndarray:
-    """Time-domain linear MMSE solution z; demodulate(z) is mmse_equalize's
-    DD estimate.
+def block_mmse_equalize(blocks: ChannelBlocks, r, loading) -> np.ndarray:
+    """Time-domain linear MMSE solutions z, one per received frame;
+    demodulate(z[i]) is mmse_equalize's DD estimate for frame i.
 
-    Solves (H^H H + loading I) z = H^H r on the channel's blocks, with
-    loading = sigma2_dd/Es.  The matrix is block-cyclic tridiagonal.
-    Its blocks 0..N-2 form a block tridiagonal T, bordered by block
-    column N-1.  Block Thomas on T with M+1 right-hand sides (the border
-    and H^H r) leaves the M x M Schur complement of the last block.
-    Raises EqualizerError when a solve fails or returns non-finite
-    values.
+    r is one frame (MN,) or a stack of frames (S, MN), and loading
+    (sigma2_dd/Es) holds one value per frame: a scalar or shape (S,).
+    Every frame shares the channel's blocks and solves
+    (H^H H + loading I) z = H^H r, all in one recursion.  The matrix is
+    block-cyclic tridiagonal.  Its blocks 0..N-2 form a block
+    tridiagonal T, bordered by block column N-1.  Block Thomas on T
+    leaves the M x M Schur complement of the last block.
+
+    The couplings have rank L, the largest delay tap: each sub-diagonal
+    block is zero outside its top-right L x L corner
+    (ChannelBlocks.lower_corner).  So each pivot solve takes at most
+    3L+1 right-hand sides: the L last unit columns (the next coupling),
+    the border's nonzero columns (its first and last L) and H^H r.
+    Where 2L > M those two column sets overlap and the count is L+M+1,
+    so a profile whose largest tap nears M gains little over the 2M+1 of
+    dense couplings, but costs no more.  The Schur and forward updates
+    touch only an L x L or L-row corner.
+
+    A frame whose solve fails (a singular pivot) or returns non-finite
+    values comes back as all NaN.  Every other frame's z is bit for bit
+    what it would be if that frame were solved alone.
     """
-    _check_loading(loading)
     params = blocks.params
-    N, M = params.N, params.M
     r = np.asarray(r, dtype=complex)
-    if r.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} samples, got shape {r.shape}")
-    r = r.reshape(N, M, 1)
-    g = _adjoint(blocks.D) @ r + np.roll(_adjoint(blocks.E) @ r, -1, axis=0)
-    A = blocks.gram + loading * np.eye(M)
-    lower = blocks.lower
-    # Block column N-1 of A.  Index N-2 is N-1 itself at N = 1, so the
-    # cyclic corner blocks add onto the diagonal at N = 1 and onto the
-    # one off-diagonal block at N = 2.
-    col = np.zeros_like(A)
-    col[N - 1] = A[N - 1]
-    col[0] += lower[0]
-    col[N - 2] += _adjoint(lower[N - 1])
-    K = N - 1
-    Y = np.concatenate([col[:K], g[:K]], axis=2)  # becomes T^-1 [border | g]
-    pivots = A[:K].copy()
-    upper = _adjoint(lower[1:K])  # becomes pivot^-1 @ block (j, j+1)
+    loading = np.asarray(loading, dtype=float)
+    if r.ndim not in (1, 2) or r.shape[-1] != params.size \
+            or loading.shape != r.shape[:-1]:
+        raise ParameterError(
+            f"expected frames of {params.size} samples and one loading per "
+            f"frame, got shapes {r.shape} and {loading.shape}")
+    _check_loading(loading)
     try:
-        for j in range(K - 1):
-            X = np.linalg.solve(pivots[j], np.concatenate([upper[j], Y[j]], axis=1))
-            upper[j], Y[j] = X[:, :M], X[:, M:]
-            pivots[j + 1] -= lower[j + 1] @ upper[j]
-            Y[j + 1] -= lower[j + 1] @ Y[j]
-        # The last pivot of T (none at N = 1, where T is empty).
-        Y[K - 1:] = np.linalg.solve(pivots[K - 1:], Y[K - 1:])
-        for j in range(K - 2, -1, -1):
-            Y[j] -= upper[j] @ Y[j + 1]
-        border = (_adjoint(col[:K]) @ Y).sum(axis=0)
-        z_last = np.linalg.solve(col[K] - border[:, :M], g[K] - border[:, M:])
-    except np.linalg.LinAlgError as exc:
-        raise EqualizerError(f"MMSE solve failed: {exc}") from exc
-    z = np.concatenate([Y[:, :, M:] - Y[:, :, :M] @ z_last, z_last[None]])
-    if not np.all(np.isfinite(z)):
-        raise EqualizerError("MMSE solve produced non-finite estimates")
-    return z.reshape(params.size)
+        z = _bordered_thomas(blocks, r.reshape(-1, params.size), loading.reshape(-1))
+    except np.linalg.LinAlgError:
+        # A singular pivot fails the whole stacked solve; solved alone,
+        # only its own frame fails.
+        if r.ndim == 1:
+            return np.full_like(r, np.nan)
+        return np.stack([block_mmse_equalize(blocks, *frame)
+                         for frame in zip(r, loading)])
+    z[~np.isfinite(z).all(axis=1)] = np.nan
+    return z.reshape(r.shape)
+
+
+def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
+    """block_mmse_equalize on a stack r (S, MN) with loadings (S,)."""
+    N, M = blocks.params.N, blocks.params.M
+    C = blocks.lower_corner
+    CH = _adjoint(C)
+    L = C.shape[-1]
+    K = N - 1
+    S = len(r)
+    r = r.reshape(S, N, M, 1)
+    # H^H r, block by block.  E[b]^H r_b is zero but for its last L rows.
+    g = _adjoint(blocks.D) @ r
+    g[:, :, M - L:] += np.roll(_adjoint(blocks.E[:, :L, M - L:]) @ r[:, :, :L],
+                               -1, axis=1)
+    # The diagonal blocks, loaded, one stack per frame.
+    A = np.repeat(blocks.gram[None], S, axis=0)
+    diag = np.arange(M)
+    A[..., diag, diag] += loading[:, None, None]
+    # Block column N-1 above the diagonal holds the cyclic corner blocks.
+    # Index N-2 is N-1 itself at N = 1, so they add onto the diagonal at
+    # N = 1 and onto the one off-diagonal block at N = 2.
+    col = np.zeros_like(blocks.gram)
+    col[0, :L, M - L:] += C[0]
+    col[N - 2, M - L:, :L] += CH[N - 1]
+    A[:, K] += col[K]
+    nz = np.r_[0:L, max(L, M - L):M]  # the border's nonzero columns
+    nb = nz.size
+    border = col[:K][:, :, nz]
+    # X[:, j] = [last L unit columns | border | g] of block j, which the
+    # recursion turns into [W_j | T^-1 border | T^-1 g].  W_j is
+    # pivot_j^-1 times the unit columns, so pivot_j^-1 times block
+    # (j, j+1), which is zero but for its bottom-left corner C[j+1]^H,
+    # is W_j @ C[j+1]^H in its first L columns.
+    X = np.empty((S, K, M, L + nb + 1), dtype=complex)
+    X[..., :L] = np.eye(M)[:, M - L:]
+    X[..., L:-1] = border
+    X[..., -1:] = g[:, :K]
+    W, Y = X[..., :L], X[..., L:]
+    for j in range(K - 1):  # A[:, j] becomes pivot j
+        X[:, j] = np.linalg.solve(A[:, j], X[:, j])
+        update = C[j + 1] @ X[:, j, M - L:]
+        A[:, j + 1, :L, :L] -= update[..., :L] @ CH[j + 1]
+        Y[:, j + 1, :L] -= update[..., L:]
+    if K:  # the last pivot of T; none at N = 1, where T is empty
+        Y[:, K - 1] = np.linalg.solve(A[:, K - 1], Y[:, K - 1])
+    for j in range(K - 2, -1, -1):
+        Y[:, j] -= W[:, j] @ (CH[j + 1] @ Y[:, j + 1, :L])
+    # The border times T^-1 [border | g] is nonzero only in the rows nz;
+    # subtracting it leaves the Schur complement of the last block.
+    correction = (_adjoint(border) @ Y).sum(axis=1)
+    A[:, K, nz[:, None], nz] -= correction[..., :nb]
+    g[:, K, nz] -= correction[..., nb:]
+    z_last = np.linalg.solve(A[:, K], g[:, K])
+    z = np.concatenate([Y[..., nb:] - Y[..., :nb] @ z_last[:, None, nz],
+                        z_last[:, None]], axis=1)
+    return z.reshape(S, N * M)
 
 
 _POPCOUNT_BYTE = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)

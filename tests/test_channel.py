@@ -8,7 +8,7 @@ from otfs_papr import (ETU300_PROFILE, ChannelRealization, FrameParams,
                        calibrate_noise, demodulate, effective_dd_matrix,
                        identity_channel, modulate, named_profile,
                        sample_channel)
-from otfs_papr.channel import time_domain_matrix
+from otfs_papr.channel import finite_noise, time_domain_matrix
 
 
 def fixed_channel(gains, taps, dopplers):
@@ -192,6 +192,20 @@ class TestNoiseCalibration:
 
     def test_infinite_snr_gives_zero(self):
         assert calibrate_noise(np.inf, np.ones(4, complex)) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [3083.0, 4000.0, 1e300])
+    def test_snr_whose_ratio_overflows_gives_zero(self, snr_db):
+        assert calibrate_noise(snr_db, np.ones(4, complex)) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan, -3083.0, -4000.0])
+    def test_snr_without_finite_noise_rejected(self, snr_db):
+        assert not finite_noise(snr_db)
+        with pytest.raises(ParameterError, match="snr_db must not be NaN, -inf"):
+            calibrate_noise(snr_db, np.ones(4, complex))
+
+    def test_lowest_snr_with_finite_noise(self):
+        assert finite_noise(-3082.0)
+        assert 0 < calibrate_noise(-3082.0, np.ones(4, complex)) < np.inf
 
     def test_all_zero_frame_rejected(self):
         with pytest.raises(ParameterError):

@@ -122,6 +122,17 @@ class TestErrorRateCommand:
         assert lines[0].startswith("method,snr_db")
         assert all(row.split(",")[7] == "0" for row in lines[1:])
 
+    def test_snr_beyond_float_range_is_noiseless(self, tmp_path):
+        """10^(4000/10) overflows a float; the run gives the `inf` rows."""
+        r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "3",
+                    "--snr-db-list", "4000,inf", "--method", "none,proposed",
+                    "--output", str(tmp_path / "er"))
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        rows = [row.split(",") for row in body_of(tmp_path / "er.csv").splitlines()[1:]]
+        assert [row[1] for row in rows] == ["4000", "4000", "inf", "inf"]
+        assert [row[3:] for row in rows[:2]] == [row[3:] for row in rows[2:]]
+
     def test_missing_snr_grid_fails_cleanly(self):
         r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "2")
         assert r.returncode == 1
@@ -245,6 +256,7 @@ class TestPrecodeCommand:
     (["error-rate", "--snr-db-list", "nan"], "snr_db_list must not hold NaN"),
     (["scaling-table", "--sweep-m", "4.5"], "'sweep_m' expects an integer"),
     (["scaling-table", "--sweep-n", "4,x"], "'sweep_n' expects a number"),
+    (["error-rate", "--snr-db-list=-inf,0"], "snr_db_list must not hold NaN, -inf"),
 ])
 def test_bad_sweep_value_fails_before_any_frame(tmp_path, monkeypatch, capsys,
                                                 argv, named):

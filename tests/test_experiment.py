@@ -111,6 +111,32 @@ class TestRunErrorRate:
         symbols = {p.counts.symbols for p in result.points}
         assert symbols == {8 * 16}
 
+    ALL_METHODS = "none,proposed,companding,icf,dft"
+
+    def test_a_methods_point_does_not_depend_on_the_others(self):
+        """Every method of a frame goes through one stacked receiver
+        call; its rows come out as if solved alone."""
+        cfg = ExperimentConfig(M=8, N=4, frames=6, seed=11, method=self.ALL_METHODS,
+                               snr_db_list=(6.0, 14.0, float("inf")))
+        together = run_error_rate(cfg).points
+        for method in ("none", "dft"):
+            alone = run_error_rate(replace(cfg, method=method)).points
+            assert alone == [p for p in together if p.method == method]
+
+    def test_a_failing_method_skips_only_its_own_frames(self, monkeypatch):
+        cfg = ExperimentConfig(M=8, N=4, frames=3, seed=12, method=self.ALL_METHODS,
+                               snr_db_list=(10.0,))
+        others = run_error_rate(replace(cfg, method="none,proposed,icf,dft")).points
+        monkeypatch.setattr(experiment, "mu_expand",
+                            lambda r, *args: np.full_like(r, np.nan))
+        result = run_error_rate(cfg)
+        companding = [p for p in result.points if p.method == "companding"]
+        assert [(p.frames, p.skipped_frames) for p in companding] == [(0, 3)]
+        assert [p for p in result.points if p.method != "companding"] == others
+        skipped = [line for line in render_error_rate_csv(result).splitlines()
+                   if line.startswith("# skipped:")]
+        assert skipped == ["# skipped: method=companding snr_db=10 nu_max_hz=300 count=3"]
+
 
 class TestRunDopplerSweep:
     def test_default_grid_and_zero_point(self):
