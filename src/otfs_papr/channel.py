@@ -94,16 +94,26 @@ def sample_channel(profile: PathProfile, nu_max: float, params: FrameParams,
     variance is 1.  Each path's Doppler is nu_max*cos(theta) with theta
     uniform on [0, 2pi); delays are rounded to the nearest sample tap.
     """
-    if nu_max < 0:
-        raise ParameterError(f"nu_max must be >= 0, got {nu_max}")
+    return sample_channels(profile, (nu_max,), params, rng)[0]
+
+
+def sample_channels(profile: PathProfile, nu_maxes, params: FrameParams,
+                    rng: np.random.Generator) -> list:
+    """sample_channel's one draw of gains and angles theta, at each
+    maximum Doppler in nu_maxes: path i's Doppler is nu*cos(theta_i) for
+    every nu, so the realizations differ only in their Doppler shifts."""
+    for nu_max in nu_maxes:
+        if nu_max < 0:
+            raise ParameterError(f"nu_max must be >= 0, got {nu_max}")
     lin = 10.0 ** (np.asarray(profile.powers_db) / 10.0)
     var = lin / lin.sum()
     n = profile.n_paths
     gains = np.sqrt(var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    doppler = nu_max * np.cos(theta)
-    return ChannelRealization(gains=gains, delay_taps=delay_taps(profile, params),
-                              doppler_hz=doppler)
+    cos_theta = np.cos(rng.uniform(0.0, 2.0 * np.pi, n))
+    taps = delay_taps(profile, params)
+    return [ChannelRealization(gains=gains, delay_taps=taps,
+                               doppler_hz=nu_max * cos_theta)
+            for nu_max in nu_maxes]
 
 
 def delay_taps(profile: PathProfile, params: FrameParams) -> np.ndarray:
@@ -123,16 +133,25 @@ def check_taps_below_m(taps, params: FrameParams):
             f"a delay shorter than one block of {1e9 / params.delta_f:.6g} ns")
 
 
-def apply_channel(s, ch: ChannelRealization, params: FrameParams) -> np.ndarray:
-    """Pass one frame through the channel (no noise), circular in delay."""
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} samples, got shape {s.shape}")
+def _path_gains(ch: ChannelRealization, params: FrameParams):
+    """Yield each path's delay tap l and its per-sample gain
+    h*exp(2j*pi*nu*(n - l)*Ts) over the frame's MN samples n."""
     n = np.arange(params.size)
-    r = np.zeros(params.size, dtype=complex)
     for h, l, nu in zip(ch.gains, ch.delay_taps, ch.doppler_hz):
-        phase = np.exp(2j * np.pi * nu * (n - l) * params.Ts)
-        r += h * phase * np.roll(s, int(l))
+        yield int(l), h * np.exp(2j * np.pi * nu * (n - l) * params.Ts)
+
+
+def apply_channel(s, ch: ChannelRealization, params: FrameParams) -> np.ndarray:
+    """Pass one frame (MN,), or a stack of frames (S, MN), through the
+    channel (no noise), circular in delay.  Each path's per-sample gain
+    is computed once for the whole stack."""
+    s = np.asarray(s, dtype=complex)
+    if s.ndim not in (1, 2) or s.shape[-1] != params.size:
+        raise ParameterError(f"expected frames of {params.size} samples, "
+                             f"got shape {s.shape}")
+    r = np.zeros(s.shape, dtype=complex)
+    for l, gain in _path_gains(ch, params):
+        r += gain * np.roll(s, l, axis=-1)
     return r
 
 
@@ -142,9 +161,8 @@ def time_domain_matrix(ch: ChannelRealization, params: FrameParams) -> np.ndarra
     check_dense_size(MN, "time_domain_matrix")
     n = np.arange(MN)
     H = np.zeros((MN, MN), dtype=complex)
-    for h, l, nu in zip(ch.gains, ch.delay_taps, ch.doppler_hz):
-        phase = h * np.exp(2j * np.pi * nu * (n - l) * params.Ts)
-        H[n, (n - int(l)) % MN] += phase
+    for l, gain in _path_gains(ch, params):
+        H[n, (n - l) % MN] += gain
     return H
 
 
@@ -195,13 +213,11 @@ def channel_blocks(ch: ChannelRealization, params: FrameParams) -> ChannelBlocks
     taps with the same per-sample phases; every tap must be below M."""
     check_taps_below_m(ch.delay_taps, params)
     M, N = params.M, params.N
-    n = np.arange(params.size)
     q = np.arange(M)
     D = np.zeros((N, M, M), dtype=complex)
     E = np.zeros((N, M, M), dtype=complex)
-    for h, l, nu in zip(ch.gains, ch.delay_taps, ch.doppler_hz):
-        l = int(l)
-        phase = (h * np.exp(2j * np.pi * nu * (n - l) * params.Ts)).reshape(N, M)
+    for l, gain in _path_gains(ch, params):
+        phase = gain.reshape(N, M)
         # Row q of block b reads sample q - l of block b, or of block
         # b - 1 where q < l.
         D[:, q[l:], q[l:] - l] += phase[:, l:]
@@ -213,16 +229,27 @@ def channel_blocks(ch: ChannelRealization, params: FrameParams) -> ChannelBlocks
                          lower_corner=DH[:, :L, :L] @ E[:, :L, M - L:])
 
 
-def add_awgn(r, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise of per-sample
-    variance sigma2."""
+def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian noise of per-sample variance
+    2, which add_noise scales to any variance."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def add_noise(r, sigma2: float, w) -> np.ndarray:
+    """r plus the unit noise w (unit_noise) scaled to per-sample
+    variance sigma2; sigma2 = 0 returns a copy of r."""
     r = np.asarray(r, dtype=complex)
     if sigma2 < 0:
         raise ParameterError(f"noise variance must be >= 0, got {sigma2}")
     if sigma2 == 0:
         return r.copy()
-    w = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
     return r + np.sqrt(sigma2 / 2.0) * w
+
+
+def add_awgn(r, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise of per-sample
+    variance sigma2, drawn from rng."""
+    return add_noise(r, sigma2, unit_noise(np.shape(r), rng))
 
 
 def finite_noise(snr_db: float) -> bool:
@@ -241,7 +268,8 @@ def calibrate_noise(snr_db: float, r) -> float:
     SNR is referenced at the receiver: sigma2 = mean|r|^2 / 10^(snr/10).
     An infinite snr_db, and any above about 3,083 dB, where 10^(snr/10)
     overflows, yields exactly zero noise.  An snr_db without a finite
-    noise variance (finite_noise) raises ParameterError.
+    noise variance (finite_noise), or whose variance overflows against
+    this frame's power, raises ParameterError.
     """
     if not finite_noise(snr_db):
         raise ParameterError(
@@ -252,6 +280,11 @@ def calibrate_noise(snr_db: float, r) -> float:
     if power == 0:
         raise ParameterError("cannot calibrate noise against an all-zero frame")
     try:
-        return power / 10.0 ** (snr_db / 10.0)
+        sigma2 = power / 10.0 ** (snr_db / 10.0)
     except OverflowError:
         return 0.0
+    if sigma2 == math.inf:
+        raise ParameterError(
+            f"snr_db = {snr_db} gives an infinite noise variance against a "
+            f"received power of {power:.6g}")
+    return sigma2

@@ -1,16 +1,23 @@
 """Seeded Monte Carlo experiment runners and CSV rendering.
 
 Runners are pure with respect to the filesystem; the CLI writes the
-rendered CSV text.  Every frame draws from its own RNG substream keyed
-by (seed, sweep-point index, frame index), so results do not depend on
-execution order.  The loop is frame-major: each frame, and its channel
-and noise, is drawn once and every method runs on it, so methods are
-compared on identical frames, channels and noise.  Frames are drawn in
-chunks so that the greedy precoder searches a whole chunk in lockstep;
-every other stage still runs frame by frame.
+rendered CSV text.  Every frame draws from its own RNG substream, so
+results do not depend on execution order: frame f of a ccdf run draws
+from (seed, f), and of grid size g of a scaling table from (seed, g, f).
+An error-rate or Doppler sweep draws frame f once, from (seed, 0, f):
+its information vector, its channel's gains and angles, and one
+unit-noise vector.  Every sweep point (SNR or maximum Doppler) runs on
+these common draws, so a point's rows are those of a run at that point
+alone.  The loop is frame-major: every method runs on a frame before the
+next one is drawn, so methods are compared on identical frames, channels
+and noise.  Frames are drawn in chunks so that the greedy precoder
+searches a whole chunk in lockstep; every other stage runs frame by
+frame, on the stack of the frame's methods (and, in the receiver, of its
+methods at every SNR).
 """
 
 import datetime
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,9 +25,9 @@ import numpy as np
 from . import __version__
 from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
                         mu_expand)
-from .channel import (add_awgn, apply_channel, calibrate_noise, channel_blocks,
+from .channel import (add_noise, apply_channel, calibrate_noise, channel_blocks,
                       check_taps_below_m, delay_taps, identity_channel,
-                      sample_channel)
+                      sample_channels, unit_noise)
 from .config import ExperimentConfig, config_summary
 from .errors import ParameterError
 from .frame import detect_symbols, map_bits_to_symbols
@@ -30,7 +37,7 @@ from .precoder import PrecodeResult, greedy_precode, greedy_precode_batch
 from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
                        dd_noise_variance)
 
-RNG_SCHEME = "pcg64-seedseq-v1"
+RNG_SCHEME = "pcg64-seedseq-v2"
 CCDF_TARGETS = (0.5, 0.1)
 DOPPLER_SWEEP_DEFAULT_HZ = tuple(float(v) for v in range(0, 2401, 300))
 DOPPLER_SWEEP_SNR_DB = 18.0
@@ -54,9 +61,9 @@ def draw_info_vector(cfg: ExperimentConfig, rng: np.random.Generator):
 
 
 def _frames(cfg: ExperimentConfig, methods, *point: int):
-    """Yield (substream, information vector, greedy result) for each frame
-    at one sweep point; the caller runs every method on the frame before
-    the next.
+    """Yield (substream, information vector, greedy result) for each
+    frame, frame f drawing from frame_rng(seed, *point, f); the caller
+    runs every method on the frame before the next.
 
     Frames are drawn in chunks of about FRAME_CHUNK_SYMBOLS symbols, and
     if `methods` include "proposed" each chunk is precoded in one
@@ -171,79 +178,87 @@ class ErrorRateResult:
     sweep: tuple = ()  # (config key, values) that the run swept in its place
 
 
-def _error_points(cfg: ExperimentConfig, snr_db: float, point_idx: int) -> list:
-    """One ErrorRatePoint per configured method at one SNR, at the
-    config's maximum Doppler.
+def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
+    """One ErrorRatePoint per (maximum Doppler, SNR, method), in that
+    order, on common draws.
 
-    Each frame's channel and its receiver blocks are drawn and built
-    once, and every method gets the same unit noise draw, scaled to its
-    own received power.  One block_mmse_equalize call solves every
-    method's frame; a method whose solve fails skips that frame alone.
-    A profile with a delay tap at or above M fails before any frame.
+    Frame f draws from frame_rng(seed, 0, f) for every sweep point: its
+    information vector, its channel's gains and angles, and one
+    unit-noise vector w.  Each method transmits the frame once.  At each
+    maximum Doppler nu the channel is nu*cos(theta) with the frame's
+    gains and angles; its blocks are built once and the methods' frames
+    pass through it as one stack.  Each SNR scales w to its own noise
+    variance, referenced to the method's received power, and one
+    block_mmse_equalize call solves every (SNR, method) row; a row whose
+    solve fails skips that frame alone.  A profile with a delay tap at or
+    above M fails before any frame.
     """
     params, alphabet = cfg.params, cfg.alphabet
     profile = cfg.channel_profile
     if profile is not None:
         check_taps_below_m(delay_taps(profile, params), params)
     methods = cfg.methods
-    counts = [ErrorCounts(0, 0, 0, 0)] * len(methods)
-    skipped = [0] * len(methods)
-    clips = [0] * len(methods)
-    for rng, u, precoded in _frames(cfg, methods, point_idx):
+    rows = [(snr_db, i) for snr_db in snrs for i in range(len(methods))]
+    counts = [ErrorCounts(0, 0, 0, 0)] * (len(nus) * len(rows))
+    skipped = [0] * len(counts)
+    clips = [0] * len(counts)
+    for rng, u, precoded in _frames(cfg, methods, 0):
         truth = detect_symbols(u, alphabet)
         if profile is None:
-            ch = identity_channel()
+            channels = [identity_channel()] * len(nus)
         else:
-            ch = sample_channel(profile, cfg.nu_max_hz, params, rng)
-        blocks = channel_blocks(ch, params)
-        noise_state = rng.bit_generator.state
-        received, loading = [], []
-        for i, method in enumerate(methods):
-            tx = transmit(u, method, cfg, precoded)
-            r0 = apply_channel(tx.s, ch, params)
-            sigma2 = calibrate_noise(snr_db, r0)
-            rng.bit_generator.state = noise_state  # same unit noise per method
-            r = add_awgn(r0, sigma2, rng)
-            if method == "companding":
-                clips[i] += clip_count(r, tx.peak_reference)
-                r = mu_expand(r, cfg.companding, tx.peak_reference)
-            received.append(r)
-            loading.append(dd_noise_variance(sigma2, params) / alphabet.A ** 2)
-        z = block_mmse_equalize(blocks, np.array(received), np.array(loading))
-        for i, method in enumerate(methods):
-            if np.isnan(z[i, 0]):  # the receiver failed on this method's frame
-                skipped[i] += 1
-                continue
-            x_hat = demodulate(z[i], params)
-            if method == "dft":
-                x_hat = dft_despread(x_hat, cfg.dft, params)
-            counts[i] = counts[i] + count_errors(detect_symbols(x_hat, alphabet),
-                                                 truth, alphabet.D)
-    return [ErrorRatePoint(method=method, snr_db=snr_db, nu_max_hz=cfg.nu_max_hz,
-                           frames=cfg.frames - skipped[i], counts=counts[i],
-                           skipped_frames=skipped[i], expander_clips=clips[i])
-            for i, method in enumerate(methods)]
+            channels = sample_channels(profile, nus, params, rng)
+        w = unit_noise(params.size, rng)
+        sent = [transmit(u, method, cfg, precoded) for method in methods]
+        s = np.array([tx.s for tx in sent])
+        for a, ch in enumerate(channels):
+            r0 = apply_channel(s, ch, params)
+            first = a * len(rows)  # counts index of this channel's first row
+            received, loading = [], []
+            for k, (snr_db, i) in enumerate(rows, first):
+                sigma2 = calibrate_noise(snr_db, r0[i])
+                r = add_noise(r0[i], sigma2, w)
+                if methods[i] == "companding":
+                    clips[k] += clip_count(r, sent[i].peak_reference)
+                    r = mu_expand(r, cfg.companding, sent[i].peak_reference)
+                received.append(r)
+                loading.append(dd_noise_variance(sigma2, params) / alphabet.A ** 2)
+            z = block_mmse_equalize(channel_blocks(ch, params), np.array(received),
+                                    np.array(loading))
+            for k, ((_, i), z_k) in enumerate(zip(rows, z), first):
+                if np.isnan(z_k[0]):  # the receiver failed on this row's frame
+                    skipped[k] += 1
+                    continue
+                x_hat = demodulate(z_k, params)
+                if methods[i] == "dft":
+                    x_hat = dft_despread(x_hat, cfg.dft, params)
+                counts[k] = counts[k] + count_errors(detect_symbols(x_hat, alphabet),
+                                                     truth, alphabet.D)
+    return [ErrorRatePoint(method=methods[i], snr_db=snr_db, nu_max_hz=nu,
+                           frames=cfg.frames - skipped[k], counts=counts[k],
+                           skipped_frames=skipped[k], expander_clips=clips[k])
+            for k, (nu, (snr_db, i)) in enumerate(itertools.product(nus, rows))]
 
 
 def run_error_rate(cfg: ExperimentConfig) -> ErrorRateResult:
     """SER/BER over the configured SNR grid for each configured method.
 
-    Methods are compared on identical information vectors, channel
-    draws and noise.
+    Methods and SNR points are compared on identical information
+    vectors, channel draws and unit noise.
     """
     if not cfg.snr_db_list:
         raise ParameterError("snr_db_list must be non-empty for error-rate runs")
-    points = []
-    for point_idx, snr_db in enumerate(cfg.snr_db_list):
-        points += _error_points(cfg, float(snr_db), point_idx)
-    return ErrorRateResult(config=cfg, points=points)
+    return ErrorRateResult(config=cfg, points=_error_sweep(
+        cfg, (cfg.nu_max_hz,), [float(snr_db) for snr_db in cfg.snr_db_list]))
 
 
 def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None) -> ErrorRateResult:
     """SER at one SNR across a maximum-Doppler grid.
 
     The SNR is the config's one snr_db_list value, DOPPLER_SWEEP_SNR_DB
-    if the list is empty; the result's config echoes the SNR used.
+    if the list is empty; the result's config echoes the SNR used.  Every
+    Doppler value runs on the same frames, channel gains and angles, and
+    noise.
     """
     if len(cfg.snr_db_list) > 1:
         raise ParameterError(
@@ -252,12 +267,9 @@ def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None) -> ErrorRateResul
     cfg = replace(cfg, snr_db_list=(snr_db,))
     nus = DOPPLER_SWEEP_DEFAULT_HZ if nu_max_list is None else nu_max_list
     # Every Doppler value is validated before the first frame runs.
-    point_cfgs = [replace(cfg, nu_max_hz=float(nu)) for nu in nus]
-    points = []
-    for point_idx, point_cfg in enumerate(point_cfgs):
-        points += _error_points(point_cfg, snr_db, point_idx)
-    return ErrorRateResult(config=cfg, points=points,
-                           sweep=("nu_max_hz", tuple(c.nu_max_hz for c in point_cfgs)))
+    nus = tuple(replace(cfg, nu_max_hz=float(nu)).nu_max_hz for nu in nus)
+    return ErrorRateResult(config=cfg, points=_error_sweep(cfg, nus, (snr_db,)),
+                           sweep=("nu_max_hz", nus))
 
 
 # ---------------------------------------------------------------------------

@@ -152,20 +152,26 @@ def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     g = _adjoint(blocks.D) @ r
     g[:, :, M - L:] += np.roll(_adjoint(blocks.E[:, :L, M - L:]) @ r[:, :, :L],
                                -1, axis=1)
-    # The diagonal blocks, loaded, one stack per frame.
-    A = np.repeat(blocks.gram[None], S, axis=0)
     diag = np.arange(M)
-    A[..., diag, diag] += loading[:, None, None]
-    # Block column N-1 above the diagonal holds the cyclic corner blocks.
-    # Index N-2 is N-1 itself at N = 1, so they add onto the diagonal at
-    # N = 1 and onto the one off-diagonal block at N = 2.
-    col = np.zeros_like(blocks.gram)
-    col[0, :L, M - L:] += C[0]
-    col[N - 2, M - L:, :L] += CH[N - 1]
-    A[:, K] += col[K]
-    nz = np.r_[0:L, max(L, M - L):M]  # the border's nonzero columns
+
+    def loaded(j):
+        """Diagonal block j plus each frame's loading: one (S, M, M)
+        stack, built only when the recursion reaches block j."""
+        pivot = np.repeat(blocks.gram[j][None], S, axis=0)
+        pivot[:, diag, diag] += loading[:, None]
+        return pivot
+
+    # Block column N-1 above the diagonal holds the cyclic corner blocks,
+    # nonzero only in the columns nz: the first L, in the first L of col,
+    # and the last L, in the last L of col.  Index N-2 is N-1 itself at
+    # N = 1, so they add onto the diagonal at N = 1 and onto the one
+    # off-diagonal block at N = 2.
+    nz = np.r_[0:L, max(L, M - L):M]
     nb = nz.size
-    border = col[:K][:, :, nz]
+    col = np.zeros((N, M, nb), dtype=complex)
+    col[0, :L, nb - L:] += C[0]
+    col[N - 2, M - L:, :L] += CH[N - 1]
+    border = col[:K]
     # X[:, j] = [last L unit columns | border | g] of block j, which the
     # recursion turns into [W_j | T^-1 border | T^-1 g].  W_j is
     # pivot_j^-1 times the unit columns, so pivot_j^-1 times block
@@ -176,21 +182,25 @@ def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     X[..., L:-1] = border
     X[..., -1:] = g[:, :K]
     W, Y = X[..., :L], X[..., L:]
-    for j in range(K - 1):  # A[:, j] becomes pivot j
-        X[:, j] = np.linalg.solve(A[:, j], X[:, j])
+    pivot = loaded(0) if K else None
+    for j in range(K - 1):  # pivot j, then block j+1 less its Schur update
+        X[:, j] = np.linalg.solve(pivot, X[:, j])
         update = C[j + 1] @ X[:, j, M - L:]
-        A[:, j + 1, :L, :L] -= update[..., :L] @ CH[j + 1]
+        pivot = loaded(j + 1)
+        pivot[:, :L, :L] -= update[..., :L] @ CH[j + 1]
         Y[:, j + 1, :L] -= update[..., L:]
     if K:  # the last pivot of T; none at N = 1, where T is empty
-        Y[:, K - 1] = np.linalg.solve(A[:, K - 1], Y[:, K - 1])
+        Y[:, K - 1] = np.linalg.solve(pivot, Y[:, K - 1])
     for j in range(K - 2, -1, -1):
         Y[:, j] -= W[:, j] @ (CH[j + 1] @ Y[:, j + 1, :L])
     # The border times T^-1 [border | g] is nonzero only in the rows nz;
     # subtracting it leaves the Schur complement of the last block.
     correction = (_adjoint(border) @ Y).sum(axis=1)
-    A[:, K, nz[:, None], nz] -= correction[..., :nb]
+    last = loaded(K)
+    last[:, :, nz] += col[K]
+    last[:, nz[:, None], nz] -= correction[..., :nb]
     g[:, K, nz] -= correction[..., nb:]
-    z_last = np.linalg.solve(A[:, K], g[:, K])
+    z_last = np.linalg.solve(last, g[:, K])
     z = np.concatenate([Y[..., nb:] - Y[..., :nb] @ z_last[:, None, nz],
                         z_last[:, None]], axis=1)
     return z.reshape(S, N * M)

@@ -8,7 +8,8 @@ from otfs_papr import (ETU300_PROFILE, ChannelRealization, FrameParams,
                        calibrate_noise, demodulate, effective_dd_matrix,
                        identity_channel, modulate, named_profile,
                        sample_channel)
-from otfs_papr.channel import finite_noise, time_domain_matrix
+from otfs_papr.channel import (finite_noise, sample_channels,
+                               time_domain_matrix)
 
 
 def fixed_channel(gains, taps, dopplers):
@@ -72,6 +73,22 @@ class TestSampleChannel:
         ch = sample_channel(profile, 0.0, params, rng)
         assert ch.delay_taps.tolist() == [0]
 
+    def test_dopplers_share_one_draw(self):
+        """Each maximum Doppler gets sample_channel's one draw of gains
+        and angles: only nu_max*cos(theta) differs."""
+        params = FrameParams(M=16, N=4)
+        chs = sample_channels(ETU300_PROFILE, (0.0, 300.0, 1200.0), params,
+                              np.random.default_rng(5))
+        alone = sample_channel(ETU300_PROFILE, 300.0, params, np.random.default_rng(5))
+        for a, b in zip((chs[1].gains, chs[1].delay_taps, chs[1].doppler_hz),
+                        (alone.gains, alone.delay_taps, alone.doppler_hz)):
+            assert np.array_equal(a, b)
+        assert all(np.array_equal(ch.gains, alone.gains) for ch in chs)
+        assert np.all(chs[0].doppler_hz == 0.0)
+        assert np.array_equal(chs[2].doppler_hz, 4.0 * chs[1].doppler_hz)
+        with pytest.raises(ParameterError, match="nu_max must be >= 0"):
+            sample_channels(ETU300_PROFILE, (0.0, -1.0), params, np.random.default_rng(5))
+
 
 class TestApplyChannel:
     def test_identity_channel_passthrough(self):
@@ -113,6 +130,33 @@ class TestApplyChannel:
         ch = sample_channel(ETU300_PROFILE, 500.0, params, rng)
         H = time_domain_matrix(ch, params)
         assert np.allclose(H @ s, apply_channel(s, ch, params))
+
+    def test_stack_matches_each_frame_bit_for_bit(self):
+        """A stack of frames goes through each path's gain once; every row
+        is, bit for bit, the one-frame result and the per-path sum
+        h * phase * roll(s, l) written out."""
+        rng = np.random.default_rng(12)
+        for M, N, nu in [(4, 4, 900.0), (16, 16, 300.0), (8, 2, 2400.0), (1, 3, 50.0)]:
+            params = FrameParams(M=M, N=N)
+            ch = sample_channel(ETU300_PROFILE, nu, params, rng)
+            s = rng.standard_normal((5, params.size)) \
+                + 1j * rng.standard_normal((5, params.size))
+            stacked = apply_channel(s, ch, params)
+            assert stacked.shape == s.shape
+            n = np.arange(params.size)
+            for s_i, r_i in zip(s, stacked):
+                assert np.array_equal(r_i, apply_channel(s_i, ch, params))
+                written_out = np.zeros(params.size, dtype=complex)
+                for h, l, nu_i in zip(ch.gains, ch.delay_taps, ch.doppler_hz):
+                    phase = np.exp(2j * np.pi * nu_i * (n - l) * params.Ts)
+                    written_out += h * phase * np.roll(s_i, int(l))
+                assert np.array_equal(r_i, written_out)
+
+    def test_rejects_frames_of_the_wrong_size(self):
+        params = FrameParams(M=4, N=4)
+        for shape in [(15,), (2, 15), (2, 2, 16)]:
+            with pytest.raises(ParameterError, match="expected frames of 16 samples"):
+                apply_channel(np.ones(shape, complex), identity_channel(), params)
 
     def test_average_received_power_is_calibrated(self):
         # with unit-normalized gains and zero Doppler the mean power gain
@@ -206,6 +250,13 @@ class TestNoiseCalibration:
     def test_lowest_snr_with_finite_noise(self):
         assert finite_noise(-3082.0)
         assert 0 < calibrate_noise(-3082.0, np.ones(4, complex)) < np.inf
+
+    def test_noise_overflowing_against_the_frame_rejected(self):
+        """-3082 dB gives a finite variance at power 1 but not at power 4;
+        the error names the SNR, not what the receiver would make of it."""
+        with pytest.raises(ParameterError,
+                           match=r"snr_db = -3082.0 gives an infinite noise variance"):
+            calibrate_noise(-3082.0, 2.0 * np.ones(4, complex))
 
     def test_all_zero_frame_rejected(self):
         with pytest.raises(ParameterError):

@@ -133,6 +133,16 @@ class TestErrorRateCommand:
         assert [row[1] for row in rows] == ["4000", "4000", "inf", "inf"]
         assert [row[3:] for row in rows[:2]] == [row[3:] for row in rows[2:]]
 
+    def test_snr_whose_noise_overflows_is_named(self, tmp_path):
+        """At -3082 dB the noise variance of a frame of power 4 overflows;
+        the run fails naming the SNR, not the receiver's loading."""
+        r = run_cli("error-rate", "--snr-db-list", "-3082", "--profile", "identity",
+                    "--M", "4", "--N", "4", "--frames", "2", "--method", "none",
+                    "--output", str(tmp_path / "er"))
+        assert r.returncode == 1
+        assert "error: snr_db = -3082.0 gives an infinite noise variance" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_snr_grid_fails_cleanly(self):
         r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "2")
         assert r.returncode == 1

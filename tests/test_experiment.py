@@ -165,6 +165,37 @@ class TestRunDopplerSweep:
         assert len(body) == 1 + 3 * 2
 
 
+class TestCommonDraws:
+    """Every sweep point runs on frame f of frame_rng(seed, 0, f), so each
+    point is, byte for byte, the run of that point alone."""
+
+    def test_every_snr_point_is_its_single_snr_run(self):
+        cfg = ExperimentConfig(M=8, N=4, frames=6, seed=13, profile="etu300",
+                               method="none,proposed,companding,icf,dft",
+                               snr_db_list=(8.0, 12.0, 16.0))
+        multi = csv_body(render_error_rate_csv(run_error_rate(cfg))).splitlines()
+        for b, snr_db in enumerate(cfg.snr_db_list):
+            single = csv_body(render_error_rate_csv(
+                run_error_rate(replace(cfg, snr_db_list=(snr_db,))))).splitlines()
+            assert multi[0] == single[0]
+            assert multi[1 + 5 * b:1 + 5 * (b + 1)] == single[1:]
+        assert sum(int(row.split(",")[5]) for row in multi[1:6]) > 0
+
+    def test_every_doppler_point_is_the_error_rate_run(self):
+        cfg = ExperimentConfig(M=8, N=4, frames=6, seed=14, profile="etu300",
+                               method="none,proposed,companding",
+                               snr_db_list=(10.0,))
+        nus = (1500.0, 0.0, 600.0)
+        sweep = run_doppler_sweep(cfg, nu_max_list=nus)
+        rows = csv_body(render_error_rate_csv(sweep)).splitlines()
+        for a, nu in enumerate(nus):
+            alone = run_error_rate(replace(cfg, nu_max_hz=nu))
+            assert sweep.points[3 * a:3 * (a + 1)] == alone.points
+            assert rows[1 + 3 * a:1 + 3 * (a + 1)] == \
+                csv_body(render_error_rate_csv(alone)).splitlines()[1:]
+        assert sum(p.counts.symbol_errors for p in sweep.points[:3]) > 0
+
+
 class TestRunScalingTable:
     def test_rows_and_schema(self):
         cfg = ExperimentConfig(M=4, N=4, frames=30, seed=5, method="none,proposed")
@@ -228,10 +259,11 @@ class TestFrameChunks:
                 lambda: run_error_rate(replace(cfg, M=8)).points]
         chunked = [run() for run in runs]
         m4, m8 = [6, 6, 2], [3, 3, 3, 3, 2]  # 16 and 32 symbols a frame
-        assert chunk_sizes == m4 + m8 + m8 * 2
+        # Both SNR points share the error-rate run's one pass over the frames.
+        assert chunk_sizes == m4 + m8 + m8
         assert sum(p.counts.symbol_errors for p in chunked[1]) > 0
         chunk_sizes.clear()
         monkeypatch.setattr(experiment, "FRAME_CHUNK_SYMBOLS", 1)
         assert [run() for run in runs] == chunked
-        assert chunk_sizes == [1] * 14 * 4
+        assert chunk_sizes == [1] * 14 * 3
 

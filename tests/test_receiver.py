@@ -1,5 +1,6 @@
 """MMSE equalization, DD noise tracking, and error counting."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -265,6 +266,26 @@ class TestBlockMmseEqualize:
             block_mmse_equalize(blocks, np.ones((2, 4)), 0.1)
         with pytest.raises(ParameterError, match="one loading per frame"):
             block_mmse_equalize(blocks, np.ones((2, 4)), [0.1, 0.2, 0.3])
+
+
+def test_stack_allocates_less_than_a_copy_of_the_gram_blocks_per_row():
+    """The recursion builds each loaded pivot when it reaches it, so a
+    stack of S rows at 64x16 allocates less than S copies of the (N, M, M)
+    Gram blocks, S*N*M^2*16 bytes."""
+    params = FrameParams(M=64, N=16)
+    rng = np.random.default_rng(15)
+    blocks = channel_blocks(sample_channel(ETU300_PROFILE, 300.0, params, rng), params)
+    S = 4
+    r = rng.standard_normal((S, params.size)) + 1j * rng.standard_normal((S, params.size))
+    loading = np.full(S, 0.05)
+    tracemalloc.start()
+    try:
+        z = block_mmse_equalize(blocks, r, loading)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(z).all()
+    assert peak < S * params.N * params.M ** 2 * 16
 
 
 class TestDenseSizeGuards:
