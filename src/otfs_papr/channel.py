@@ -8,11 +8,12 @@ Doppler shifts.  The time-domain action on one frame is
 with a circular delay convention, so the whole frame map is an MN x MN
 matrix and its delay-Doppler-domain conjugate is exactly MN x MN too.
 
-When every delay tap is below M, cutting the frame into N blocks of M
-samples makes that matrix block-cyclic bidiagonal: channel_blocks builds
-its blocks straight from the taps, in O(N*M^2) memory.  The dense
-matrices (time_domain_matrix, effective_dd_matrix) are oracles for small
-grids, guarded to MN <= DENSE_MAX_SIZE.
+Cutting the frame into MN/b blocks of b samples, with b above every
+delay tap, makes that matrix block-cyclic bidiagonal: channel_blocks
+builds its blocks straight from the taps, in O(MN*b) memory, with b
+sized by the largest tap (block_size), not by M.  The dense matrices
+(time_domain_matrix, effective_dd_matrix) are oracles for small grids,
+guarded to MN <= DENSE_MAX_SIZE.
 """
 
 import math
@@ -122,15 +123,27 @@ def delay_taps(profile: PathProfile, params: FrameParams) -> np.ndarray:
                    ).astype(np.int64)
 
 
-def check_taps_below_m(taps, params: FrameParams):
-    """Raise ParameterError unless every delay tap is below M, which the
-    block receiver needs (a delay shorter than one block of M samples)."""
-    taps = np.asarray(taps)
-    if taps.size and taps.max() >= params.M:
+# The receiver's blocks are at least this many samples long, or M where
+# M is shorter: below about 16 samples a block's work is mostly per-call
+# overhead, and blocks of M keep the arithmetic of grids with M <= 16.
+MIN_BLOCK = 16
+
+
+def block_size(taps, params: FrameParams) -> int:
+    """The receiver's block size b for these delay taps: the smallest
+    divisor of MN with b >= min(M, MIN_BLOCK) and b above L, the largest
+    tap.  While L < M <= MIN_BLOCK that is M.  Raise ParameterError when
+    no divisor of MN exceeds L, that is when L >= MN (a delay of at least
+    one frame)."""
+    L = int(np.max(taps, initial=0))
+    MN = params.size
+    if L >= MN:
         raise ParameterError(
-            f"delay tap {int(taps.max())} is not below M={params.M}: the "
-            f"receiver needs every path delay to round to a tap below M, i.e. "
-            f"a delay shorter than one block of {1e9 / params.delta_f:.6g} ns")
+            f"delay tap {L} is not below MN={MN}: the receiver needs every "
+            f"path delay to round to a tap below MN, i.e. a delay shorter "
+            f"than one frame of {1e9 * params.N / params.delta_f:.6g} ns")
+    low = max(min(params.M, MIN_BLOCK), L + 1)
+    return next(b for b in range(low, MN + 1) if MN % b == 0)
 
 
 def _path_gains(ch: ChannelRealization, params: FrameParams):
@@ -184,25 +197,26 @@ def effective_dd_matrix(ch: ChannelRealization, params: FrameParams) -> np.ndarr
 
 @dataclass(frozen=True)
 class ChannelBlocks:
-    """apply_channel cut into N blocks of M samples, for taps below M.
+    """apply_channel cut into J blocks of b samples, b above every tap.
 
-    Output block b depends only on input blocks b and b-1 (cyclic in b):
-    r_b = D[b] @ s_b + E[b] @ s_{b-1}.  The Gram matrix H^H H is then
+    Output block j depends only on input blocks j and j-1 (cyclic in j):
+    r_j = D[j] @ s_j + E[j] @ s_{j-1}.  The Gram matrix H^H H is then
     block-cyclic tridiagonal, with diagonal blocks
     gram[j] = D[j]^H D[j] + E[j+1]^H E[j+1] and sub-diagonal blocks
-    D[j]^H E[j] at (j, j-1).  D, E and gram are (N, M, M).
+    D[j]^H E[j] at (j, j-1).  D, DH = D^H (per block), E and gram are
+    (J, b, b); b is block_size's, so J = MN/b need not be N.
 
     With L the largest delay tap, E[j] is zero outside its first L rows
     and last L columns, and D[j] is lower triangular, so D[j]^H E[j] is
     zero outside its top-right L x L corner: rows below L, columns from
-    M - L.  lower_corner (N, L, L) holds those corners; every coupling
-    between blocks has rank at most L.  At N = 1 and N = 2, the cyclic
+    b - L.  lower_corner (J, L, L) holds those corners; every coupling
+    between blocks has rank at most L.  At J = 1 and J = 2, the cyclic
     corner blocks land on the same block position as another term and
     add to it.
     """
 
-    params: FrameParams
     D: np.ndarray
+    DH: np.ndarray
     E: np.ndarray
     gram: np.ndarray
     lower_corner: np.ndarray
@@ -210,23 +224,24 @@ class ChannelBlocks:
 
 def channel_blocks(ch: ChannelRealization, params: FrameParams) -> ChannelBlocks:
     """The blocks of apply_channel and of its Gram matrix, built from the
-    taps with the same per-sample phases; every tap must be below M."""
-    check_taps_below_m(ch.delay_taps, params)
-    M, N = params.M, params.N
-    q = np.arange(M)
-    D = np.zeros((N, M, M), dtype=complex)
-    E = np.zeros((N, M, M), dtype=complex)
+    taps with the same per-sample phases, in blocks of block_size's b
+    samples; every tap must be below MN."""
+    b = block_size(ch.delay_taps, params)
+    J = params.size // b
+    q = np.arange(b)
+    D = np.zeros((J, b, b), dtype=complex)
+    E = np.zeros((J, b, b), dtype=complex)
     for l, gain in _path_gains(ch, params):
-        phase = gain.reshape(N, M)
-        # Row q of block b reads sample q - l of block b, or of block
-        # b - 1 where q < l.
+        phase = gain.reshape(J, b)
+        # Row q of block j reads sample q - l of block j, or of block
+        # j - 1 where q < l.
         D[:, q[l:], q[l:] - l] += phase[:, l:]
-        E[:, q[:l], q[:l] + M - l] += phase[:, :l]
+        E[:, q[:l], q[:l] + b - l] += phase[:, :l]
     DH, EH = D.conj().swapaxes(1, 2), E.conj().swapaxes(1, 2)
     L = int(np.max(ch.delay_taps, initial=0))
-    return ChannelBlocks(params=params, D=D, E=E,
+    return ChannelBlocks(D=D, DH=DH, E=E,
                          gram=DH @ D + np.roll(EH @ E, -1, axis=0),
-                         lower_corner=DH[:, :L, :L] @ E[:, :L, M - L:])
+                         lower_corner=DH[:, :L, :L] @ E[:, :L, b - L:])
 
 
 def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
                         mu_expand)
-from .channel import (add_noise, apply_channel, calibrate_noise, channel_blocks,
-                      check_taps_below_m, delay_taps, identity_channel,
+from .channel import (add_noise, apply_channel, block_size, calibrate_noise,
+                      channel_blocks, delay_taps, identity_channel,
                       sample_channels, unit_noise)
 from .config import ExperimentConfig, config_summary
 from .errors import ParameterError
@@ -191,12 +191,13 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
     variance, referenced to the method's received power, and one
     block_mmse_equalize call solves every (SNR, method) row; a row whose
     solve fails skips that frame alone.  A profile with a delay tap at or
-    above M fails before any frame.
+    above MN, for which no receiver block size exists, fails before any
+    frame.
     """
     params, alphabet = cfg.params, cfg.alphabet
     profile = cfg.channel_profile
     if profile is not None:
-        check_taps_below_m(delay_taps(profile, params), params)
+        block_size(delay_taps(profile, params), params)  # raises where none exists
     methods = cfg.methods
     rows = [(snr_db, i) for snr_db in snrs for i in range(len(methods))]
     counts = [ErrorCounts(0, 0, 0, 0)] * (len(nus) * len(rows))

@@ -4,9 +4,11 @@ The DD-domain MMSE estimate solves (H_eff^H H_eff + c I) x = H_eff^H y.
 The modulator is S = F_N^H kron I_M with S S^H = N I, so this system
 is the time-domain one (H^H H + c I) z = H^H r with x = demodulate(z)
 and the same loading c.  block_mmse_equalize solves the time-domain
-system from the channel's blocks (channel.channel_blocks) in O(N*M^3)
-time and O(N*M^2) memory, for a whole stack of frames on one channel
-at once; mmse_equalize solves the dense DD system and is its oracle.
+system from the channel's blocks (channel.channel_blocks): MN/b blocks
+of b samples, with b sized by the delay spread, not by M.  It takes
+O(MN*b^2) time and O(MN*b) memory, for a whole stack of frames on one
+channel at once; mmse_equalize solves the dense DD system and is its
+oracle.
 Both take the same loading c = sigma2_dd/Es, the per-element DD noise
 variance over the symbol energy, and reject a negative or non-finite
 one.
@@ -99,17 +101,18 @@ def block_mmse_equalize(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     (sigma2_dd/Es) holds one value per frame: a scalar or shape (S,).
     Every frame shares the channel's blocks and solves
     (H^H H + loading I) z = H^H r, all in one recursion.  The matrix is
-    block-cyclic tridiagonal.  Its blocks 0..N-2 form a block
-    tridiagonal T, bordered by block column N-1.  Block Thomas on T
-    leaves the M x M Schur complement of the last block.
+    block-cyclic tridiagonal in the J blocks of b samples that
+    channel_blocks cut.  Its blocks 0..J-2 form a block tridiagonal T,
+    bordered by block column J-1.  Block Thomas on T leaves the b x b
+    Schur complement of the last block.
 
     The couplings have rank L, the largest delay tap: each sub-diagonal
     block is zero outside its top-right L x L corner
     (ChannelBlocks.lower_corner).  So each pivot solve takes at most
     3L+1 right-hand sides: the L last unit columns (the next coupling),
     the border's nonzero columns (its first and last L) and H^H r.
-    Where 2L > M those two column sets overlap and the count is L+M+1,
-    so a profile whose largest tap nears M gains little over the 2M+1 of
+    Where 2L > b those two column sets overlap and the count is L+b+1,
+    so a profile whose largest tap nears b gains little over the 2b+1 of
     dense couplings, but costs no more.  The Schur and forward updates
     touch only an L x L or L-row corner.
 
@@ -117,17 +120,17 @@ def block_mmse_equalize(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     values comes back as all NaN.  Every other frame's z is bit for bit
     what it would be if that frame were solved alone.
     """
-    params = blocks.params
+    size = blocks.D.shape[0] * blocks.D.shape[1]
     r = np.asarray(r, dtype=complex)
     loading = np.asarray(loading, dtype=float)
-    if r.ndim not in (1, 2) or r.shape[-1] != params.size \
+    if r.ndim not in (1, 2) or r.shape[-1] != size \
             or loading.shape != r.shape[:-1]:
         raise ParameterError(
-            f"expected frames of {params.size} samples and one loading per "
+            f"expected frames of {size} samples and one loading per "
             f"frame, got shapes {r.shape} and {loading.shape}")
     _check_loading(loading)
     try:
-        z = _bordered_thomas(blocks, r.reshape(-1, params.size), loading.reshape(-1))
+        z = _bordered_thomas(blocks, r.reshape(-1, size), loading.reshape(-1))
     except np.linalg.LinAlgError:
         # A singular pivot fails the whole stacked solve; solved alone,
         # only its own frame fails.
@@ -141,55 +144,55 @@ def block_mmse_equalize(blocks: ChannelBlocks, r, loading) -> np.ndarray:
 
 def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     """block_mmse_equalize on a stack r (S, MN) with loadings (S,)."""
-    N, M = blocks.params.N, blocks.params.M
+    J, b = blocks.D.shape[:2]
     C = blocks.lower_corner
     CH = _adjoint(C)
     L = C.shape[-1]
-    K = N - 1
+    K = J - 1
     S = len(r)
-    r = r.reshape(S, N, M, 1)
-    # H^H r, block by block.  E[b]^H r_b is zero but for its last L rows.
-    g = _adjoint(blocks.D) @ r
-    g[:, :, M - L:] += np.roll(_adjoint(blocks.E[:, :L, M - L:]) @ r[:, :, :L],
+    r = r.reshape(S, J, b, 1)
+    # H^H r, block by block.  E[j]^H r_j is zero but for its last L rows.
+    g = blocks.DH @ r
+    g[:, :, b - L:] += np.roll(_adjoint(blocks.E[:, :L, b - L:]) @ r[:, :, :L],
                                -1, axis=1)
-    diag = np.arange(M)
+    diag = np.arange(b)
 
     def loaded(j):
-        """Diagonal block j plus each frame's loading: one (S, M, M)
+        """Diagonal block j plus each frame's loading: one (S, b, b)
         stack, built only when the recursion reaches block j."""
         pivot = np.repeat(blocks.gram[j][None], S, axis=0)
         pivot[:, diag, diag] += loading[:, None]
         return pivot
 
-    # Block column N-1 above the diagonal holds the cyclic corner blocks,
+    # Block column J-1 above the diagonal holds the cyclic corner blocks,
     # nonzero only in the columns nz: the first L, in the first L of col,
-    # and the last L, in the last L of col.  Index N-2 is N-1 itself at
-    # N = 1, so they add onto the diagonal at N = 1 and onto the one
-    # off-diagonal block at N = 2.
-    nz = np.r_[0:L, max(L, M - L):M]
+    # and the last L, in the last L of col.  Index J-2 is J-1 itself at
+    # J = 1, so they add onto the diagonal at J = 1 and onto the one
+    # off-diagonal block at J = 2.
+    nz = np.r_[0:L, max(L, b - L):b]
     nb = nz.size
-    col = np.zeros((N, M, nb), dtype=complex)
+    col = np.zeros((J, b, nb), dtype=complex)
     col[0, :L, nb - L:] += C[0]
-    col[N - 2, M - L:, :L] += CH[N - 1]
+    col[J - 2, b - L:, :L] += CH[J - 1]
     border = col[:K]
     # X[:, j] = [last L unit columns | border | g] of block j, which the
     # recursion turns into [W_j | T^-1 border | T^-1 g].  W_j is
     # pivot_j^-1 times the unit columns, so pivot_j^-1 times block
     # (j, j+1), which is zero but for its bottom-left corner C[j+1]^H,
     # is W_j @ C[j+1]^H in its first L columns.
-    X = np.empty((S, K, M, L + nb + 1), dtype=complex)
-    X[..., :L] = np.eye(M)[:, M - L:]
+    X = np.empty((S, K, b, L + nb + 1), dtype=complex)
+    X[..., :L] = np.eye(b)[:, b - L:]
     X[..., L:-1] = border
     X[..., -1:] = g[:, :K]
     W, Y = X[..., :L], X[..., L:]
     pivot = loaded(0) if K else None
     for j in range(K - 1):  # pivot j, then block j+1 less its Schur update
         X[:, j] = np.linalg.solve(pivot, X[:, j])
-        update = C[j + 1] @ X[:, j, M - L:]
+        update = C[j + 1] @ X[:, j, b - L:]
         pivot = loaded(j + 1)
         pivot[:, :L, :L] -= update[..., :L] @ CH[j + 1]
         Y[:, j + 1, :L] -= update[..., L:]
-    if K:  # the last pivot of T; none at N = 1, where T is empty
+    if K:  # the last pivot of T; none at J = 1, where T is empty
         Y[:, K - 1] = np.linalg.solve(pivot, Y[:, K - 1])
     for j in range(K - 2, -1, -1):
         Y[:, j] -= W[:, j] @ (CH[j + 1] @ Y[:, j + 1, :L])
@@ -203,7 +206,7 @@ def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     z_last = np.linalg.solve(last, g[:, K])
     z = np.concatenate([Y[..., nb:] - Y[..., :nb] @ z_last[:, None, nz],
                         z_last[:, None]], axis=1)
-    return z.reshape(S, N * M)
+    return z.reshape(S, J * b)
 
 
 _POPCOUNT_BYTE = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)

@@ -360,14 +360,26 @@ class TestProfileFile:
         assert "Traceback" not in r.stderr
         assert list(tmp_path.iterdir()) == [prof]
 
-    def test_delay_beyond_one_block_fails_before_any_frame(self, tmp_path):
+    def test_delay_beyond_one_block_runs(self, tmp_path):
+        # 70 us at 16 x 15 kHz is tap 17: the receiver takes blocks of 32.
         prof = tmp_path / "prof.cfg"
         prof.write_text("delays_ns = [0, 70000]\npowers_db = [0, -3]\n")
         r = run_cli("error-rate", "--M", "16", "--N", "4", "--frames", "2",
                     "--snr-db-list", "20", "--profile-file", str(prof),
                     "--output", str(tmp_path / "far"))
+        assert r.returncode == 0, r.stderr
+        rows = [row.split(",") for row in body_of(tmp_path / "far.csv").splitlines()]
+        assert rows[1][:5] == ["none", "20", "300", "2", "128"]
+
+    def test_delay_beyond_one_frame_fails_before_any_frame(self, tmp_path):
+        # 300 us at 16 x 15 kHz is tap 72, beyond the frame's 64 samples.
+        prof = tmp_path / "prof.cfg"
+        prof.write_text("delays_ns = [0, 300000]\npowers_db = [0, -3]\n")
+        r = run_cli("error-rate", "--M", "16", "--N", "4", "--frames", "2",
+                    "--snr-db-list", "20", "--profile-file", str(prof),
+                    "--output", str(tmp_path / "far"))
         assert r.returncode == 1
-        assert "error:" in r.stderr and "not below M=16" in r.stderr
+        assert "error:" in r.stderr and "tap 72 is not below MN=64" in r.stderr
         assert list(tmp_path.iterdir()) == [prof]
 
     def test_profile_file_missing_key(self, tmp_path):

@@ -15,7 +15,7 @@ from otfs_papr import (ChannelRealization, ExperimentConfig,
                        demodulate, dense_synthesis_matrix,
                        effective_dd_matrix, experiment, mmse_equalize,
                        modulate, receiver, sample_channel)
-from otfs_papr.channel import ETU300_PROFILE, time_domain_matrix
+from otfs_papr.channel import ETU300_PROFILE, block_size, time_domain_matrix
 from otfs_papr.experiment import run_error_rate
 from otfs_papr.frame import DENSE_MAX_SIZE
 from otfs_papr.receiver import block_mmse_equalize
@@ -103,21 +103,25 @@ def random_channel(M, n_taps, rng):
         doppler_hz=rng.uniform(-3000.0, 3000.0, n_taps))
 
 
-def oracle_channel(M, n_taps, taps, rng):
-    """A random channel whose taps are drawn ("random"), all 0 (L = 0,
-    no coupling between blocks) or drawn with one at M - 1 ("top",
-    the largest L)."""
-    ch = random_channel(M, n_taps, rng)
+def oracle_channel(params, n_taps, taps, rng):
+    """A random channel whose taps are drawn below MN ("random"), all 0
+    (L = 0, no coupling between blocks), or drawn with one at M - 1
+    ("top", the largest L with blocks of M samples where M <= 16), at
+    MN/2 - 1 ("half", two blocks where MN is even and N > 1) or at MN - 1
+    ("last", one block)."""
+    ch = random_channel(params.size, n_taps, rng)
     if taps == "zero":
         return replace(ch, delay_taps=np.zeros(n_taps, dtype=np.int64))
-    if taps == "top":
-        return replace(ch, delay_taps=np.r_[M - 1, ch.delay_taps[1:]])
+    top = {"top": params.M - 1, "half": max(params.size // 2 - 1, 0),
+           "last": params.size - 1}.get(taps)
+    if top is not None:
+        return replace(ch, delay_taps=np.r_[top, ch.delay_taps[1:]])
     return ch
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 4),
-       st.sampled_from(["random", "zero", "top"]),
+       st.sampled_from(["random", "zero", "top", "half", "last"]),
        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
                 min_size=1, max_size=5, unique=True),
        st.integers(0, 2 ** 32 - 1))
@@ -129,6 +133,8 @@ def oracle_channel(M, n_taps, taps, rng):
 @example(M=8, N=5, n_taps=3, taps="zero", loadings=[0.0, 0.2], seed=4)
 @example(M=12, N=6, n_taps=4, taps="top", loadings=[0.0, 0.5, 1e-3, 3.0, 10.0],
          seed=5)
+@example(M=4, N=3, n_taps=1, taps="half", loadings=[0.2, 0.0], seed=6)
+@example(M=2, N=2, n_taps=2, taps="last", loadings=[0.1], seed=7)
 def test_block_solve_matches_dense_oracle(M, N, n_taps, taps, loadings, seed):
     """A stack of systems on one channel, one per loading.
 
@@ -137,16 +143,20 @@ def test_block_solve_matches_dense_oracle(M, N, n_taps, taps, loadings, seed):
     1e-12.  It matches the dense oracle to 1e-9 wherever the normal
     equations are well conditioned: at every loading >= 1e-3, and at
     loading 0 when cond(H) <= 1e3.  (At loading 0 the two solvers differ
-    by up to about cond(H)^2 times the rounding error.)  N = 1 and N = 2
-    run the folded cyclic corner blocks.
+    by up to about cond(H)^2 times the rounding error.)  Taps reach up to
+    MN - 1, so the blocks are often not M samples long; one block and two
+    blocks run the folded cyclic corner blocks.
     """
     params = FrameParams(M=M, N=N)
     rng = np.random.default_rng(seed)
-    ch = oracle_channel(M, n_taps, taps, rng)
+    ch = oracle_channel(params, n_taps, taps, rng)
     blocks = channel_blocks(ch, params)
-    assert blocks.lower_corner.shape == (N,) + (int(ch.delay_taps.max()),) * 2
+    L = int(ch.delay_taps.max())
+    J, b = blocks.D.shape[:2]
+    assert b == block_size(ch.delay_taps, params) and J * b == params.size
+    assert blocks.lower_corner.shape == (J, L, L)
     s = rng.standard_normal(params.size) + 1j * rng.standard_normal(params.size)
-    s_blocks = s.reshape(N, M, 1)
+    s_blocks = s.reshape(J, b, 1)
     via_blocks = blocks.D @ s_blocks + blocks.E @ np.roll(s_blocks, 1, axis=0)
     assert np.allclose(via_blocks.reshape(-1), apply_channel(s, ch, params),
                        rtol=0, atol=1e-12 * np.linalg.norm(s))
@@ -167,6 +177,71 @@ def test_block_solve_matches_dense_oracle(M, N, n_taps, taps, loadings, seed):
             want = mmse_equalize(H_eff, demodulate(r_i, params), loading)
             got = demodulate(z_i, params)
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("M, N, taps, b", [
+    (16, 16, [0, 1], 16),     # ETU-300 at 16x16: blocks of M
+    (8, 8, [], 8),            # no path: L = 0
+    (1, 1, [0], 1),
+    (64, 16, [0, 5], 16),     # ETU-300 at 64x16: 64 blocks of 16
+    (32, 16, [0, 2], 16),
+    (24, 2, [1], 16),         # a block size that does not divide M
+    (17, 1, [0], 17),         # MN prime: one block
+    (16, 4, [0, 5, 17], 32),  # a tap beyond M
+    (4, 3, [0, 4], 6),
+    (2, 2, [3], 4),           # tap MN - 1: one block
+    (7, 5, [9], 35),
+])
+def test_block_size_rule(M, N, taps, b):
+    """The smallest divisor of MN that is >= min(M, 16) and above every tap."""
+    assert block_size(np.array(taps, dtype=np.int64), FrameParams(M=M, N=N)) == b
+
+
+def test_blocks_below_m_are_the_m_sample_blocks():
+    """With every tap below M <= 16, the blocks are the N blocks of M
+    samples: D and E bit for bit the blocks of the dense time-domain
+    matrix, and D^H, the Gram blocks and their corners bit for bit those
+    formed from them, so the receiver does the same arithmetic on the
+    same numbers as with blocks of M samples."""
+    rng = np.random.default_rng(12)
+    for _ in range(120):
+        params = FrameParams(M=int(rng.integers(1, 17)), N=int(rng.integers(1, 9)))
+        M, N = params.M, params.N
+        ch = random_channel(M, int(rng.integers(1, 5)), rng)
+        blocks = channel_blocks(ch, params)
+        assert blocks.D.shape == (N, M, M)
+        H = time_domain_matrix(ch, params).reshape(N, M, N, M)
+        D = H[np.arange(N), :, np.arange(N)]
+        E = H[np.arange(N), :, np.arange(N) - 1]
+        if N == 1:
+            assert np.array_equal(blocks.D + blocks.E, D)
+        else:
+            assert np.array_equal(blocks.D, D) and np.array_equal(blocks.E, E)
+        D, E = blocks.D, blocks.E
+        DH, EH = D.conj().swapaxes(1, 2), E.conj().swapaxes(1, 2)
+        L = int(ch.delay_taps.max())
+        assert np.array_equal(blocks.DH, DH)
+        assert np.array_equal(blocks.gram, DH @ D + np.roll(EH @ E, -1, axis=0))
+        assert np.array_equal(blocks.lower_corner, DH[:, :L, :L] @ E[:, :L, M - L:])
+
+
+@pytest.mark.parametrize("M", [32, 64])
+def test_blocks_of_sixteen_match_dense_oracle(M):
+    """ETU-300 at Mx16 takes blocks of 16 samples, not M, and agrees
+    with the dense DD solve to 1e-12."""
+    params = FrameParams(M=M, N=16)
+    rng = np.random.default_rng(M)
+    ch = sample_channel(ETU300_PROFILE, 300.0, params, rng)
+    blocks = channel_blocks(ch, params)
+    assert blocks.D.shape == (params.size // 16, 16, 16)
+    loadings = np.array([0.05, 1e-3])
+    r = rng.standard_normal((2, params.size)) + 1j * rng.standard_normal((2, params.size))
+    z = block_mmse_equalize(blocks, r, loadings)
+    H_eff = effective_dd_matrix(ch, params)
+    for z_i, r_i, loading in zip(z, r, loadings):
+        want = mmse_equalize(H_eff, demodulate(r_i, params), loading)
+        got = demodulate(z_i, params)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_failing_system_fails_alone():
@@ -226,21 +301,63 @@ class TestBlockMmseEqualize:
                                params)
             assert np.linalg.norm(x_hat - x) <= 1e-8 * np.linalg.norm(x)
 
-    def test_tap_at_or_above_m_rejected(self):
+    def test_tap_at_or_above_m_matches_dense_oracle(self):
+        params = FrameParams(M=4, N=3)
+        rng = np.random.default_rng(9)
+        ch = ChannelRealization(gains=rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                                delay_taps=np.array([0, 4]),
+                                doppler_hz=np.array([0.0, 700.0]))
+        blocks = channel_blocks(ch, params)
+        assert blocks.D.shape == (2, 6, 6)
+        r = rng.standard_normal(params.size) + 1j * rng.standard_normal(params.size)
+        got = demodulate(block_mmse_equalize(blocks, r, 0.1), params)
+        want = mmse_equalize(effective_dd_matrix(ch, params), demodulate(r, params), 0.1)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_tap_at_or_above_mn_rejected(self):
         params = FrameParams(M=4, N=3)
         ch = ChannelRealization(gains=np.ones(2, complex),
-                                delay_taps=np.array([0, 4]), doppler_hz=np.zeros(2))
-        with pytest.raises(ParameterError, match="tap 4 is not below M=4"):
+                                delay_taps=np.array([0, 12]), doppler_hz=np.zeros(2))
+        with pytest.raises(ParameterError, match="tap 12 is not below MN=12"):
             channel_blocks(ch, params)
 
-    def test_long_delay_profile_fails_before_any_frame(self, monkeypatch):
+    def test_long_delay_profile_matches_dense_oracle(self, monkeypatch):
+        """70 us at 16 x 15 kHz is tap 17, beyond M: the run takes blocks
+        of 32 samples, and every row it solves matches the dense oracle."""
+        solved = []
+
+        def blocks_with_channel(ch, params):
+            return ch, params, channel_blocks(ch, params)
+
+        def checked_solve(built, r, loading):
+            ch, params, blocks = built
+            assert blocks.D.shape == (2, 32, 32)
+            z = block_mmse_equalize(blocks, r, loading)
+            H_eff = effective_dd_matrix(ch, params)
+            for z_i, r_i, c in zip(z, r, loading):
+                want = mmse_equalize(H_eff, demodulate(r_i, params), c)
+                got = demodulate(z_i, params)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            solved.append(len(z))
+            return z
+
+        monkeypatch.setattr(experiment, "channel_blocks", blocks_with_channel)
+        monkeypatch.setattr(experiment, "block_mmse_equalize", checked_solve)
+        cfg = ExperimentConfig(M=16, N=4, frames=2, snr_db_list=(10.0,),
+                               method="none,proposed",
+                               profile=PathProfile((0.0, 70_000.0), (0.0, -3.0)))
+        result = run_error_rate(cfg)
+        assert solved == [2, 2]
+        assert all(p.frames == 2 and p.skipped_frames == 0 for p in result.points)
+
+    def test_delay_of_a_frame_fails_before_any_frame(self, monkeypatch):
         frames = []
         monkeypatch.setattr(experiment, "_frames",
                             lambda *a: frames.append(a) or iter(()))
-        # 70 us at 16 x 15 kHz is tap 17.
+        # 300 us at 16 x 15 kHz is tap 72, beyond the frame's 64 samples.
         cfg = ExperimentConfig(M=16, N=4, frames=2, snr_db_list=(10.0,),
-                               profile=PathProfile((0.0, 70_000.0), (0.0, -3.0)))
-        with pytest.raises(ParameterError, match="tap 17 is not below M=16"):
+                               profile=PathProfile((0.0, 300_000.0), (0.0, -3.0)))
+        with pytest.raises(ParameterError, match="tap 72 is not below MN=64"):
             run_error_rate(cfg)
         assert frames == []
 
@@ -286,6 +403,24 @@ def test_stack_allocates_less_than_a_copy_of_the_gram_blocks_per_row():
         tracemalloc.stop()
     assert np.isfinite(z).all()
     assert peak < S * params.N * params.M ** 2 * 16
+
+
+def test_one_row_at_64x16_allocates_less_than_one_stack_of_m_by_m_blocks():
+    """ETU-300 at 64x16 takes blocks of 16 samples, and D^H is kept with
+    the blocks rather than formed on every solve, so one row allocates
+    less than one (N, M, M) complex stack, N*M^2*16 bytes."""
+    params = FrameParams(M=64, N=16)
+    rng = np.random.default_rng(16)
+    blocks = channel_blocks(sample_channel(ETU300_PROFILE, 300.0, params, rng), params)
+    r = rng.standard_normal(params.size) + 1j * rng.standard_normal(params.size)
+    tracemalloc.start()
+    try:
+        z = block_mmse_equalize(blocks, r, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(z).all()
+    assert peak < params.N * params.M ** 2 * 16
 
 
 class TestDenseSizeGuards:
