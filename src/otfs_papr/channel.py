@@ -10,10 +10,11 @@ matrix and its delay-Doppler-domain conjugate is exactly MN x MN too.
 
 Cutting the frame into MN/b blocks of b samples, with b above every
 delay tap, makes that matrix block-cyclic bidiagonal: channel_blocks
-builds its blocks straight from the taps, in O(MN*b) memory, with b
-sized by the largest tap (block_size), not by M.  The dense matrices
-(time_domain_matrix, effective_dd_matrix) are oracles for small grids,
-guarded to MN <= DENSE_MAX_SIZE.
+builds its diagonal blocks, and the only nonzero corners of the others,
+straight from the taps, in O(MN*b) memory, with b sized by the largest
+tap (block_size), not by M.  The dense matrices (time_domain_matrix,
+effective_dd_matrix) are oracles for small grids, guarded to
+MN <= DENSE_MAX_SIZE.
 """
 
 import math
@@ -43,6 +44,10 @@ class PathProfile:
             raise ParameterError("delays_ns and powers_db must have equal length")
         if len(self.delays_ns) == 0:
             raise ParameterError("profile needs at least one path")
+        for key in ("delays_ns", "powers_db"):
+            values = getattr(self, key)
+            if not all(map(math.isfinite, values)):
+                raise ParameterError(f"{key} must be finite, got {list(values)}")
         if any(d < 0 for d in self.delays_ns):
             raise ParameterError("delays must be non-negative")
         if any(b < a for a, b in zip(self.delays_ns, self.delays_ns[1:])):
@@ -104,8 +109,8 @@ def sample_channels(profile: PathProfile, nu_maxes, params: FrameParams,
     maximum Doppler in nu_maxes: path i's Doppler is nu*cos(theta_i) for
     every nu, so the realizations differ only in their Doppler shifts."""
     for nu_max in nu_maxes:
-        if nu_max < 0:
-            raise ParameterError(f"nu_max must be >= 0, got {nu_max}")
+        if not 0 <= nu_max < math.inf:
+            raise ParameterError(f"nu_max must be >= 0 and finite, got {nu_max}")
     lin = 10.0 ** (np.asarray(profile.powers_db) / 10.0)
     var = lin / lin.sum()
     n = profile.n_paths
@@ -118,9 +123,13 @@ def sample_channels(profile: PathProfile, nu_maxes, params: FrameParams,
 
 
 def delay_taps(profile: PathProfile, params: FrameParams) -> np.ndarray:
-    """Each path's delay rounded to the nearest sample tap."""
-    return np.rint(np.asarray(profile.delays_ns) * 1e-9 * params.M * params.delta_f
-                   ).astype(np.int64)
+    """Each path's delay rounded to the nearest sample tap.  Raise
+    ParameterError where a tap is not below MN, so where no receiver
+    block size exists (block_size), before casting a tap that might not
+    fit an int64."""
+    taps = np.rint(np.asarray(profile.delays_ns) * 1e-9 * params.M * params.delta_f)
+    _check_tap(taps.max(), params)
+    return taps.astype(np.int64)
 
 
 # The receiver's blocks are at least this many samples long, or M where
@@ -137,13 +146,19 @@ def block_size(taps, params: FrameParams) -> int:
     one frame)."""
     L = int(np.max(taps, initial=0))
     MN = params.size
-    if L >= MN:
-        raise ParameterError(
-            f"delay tap {L} is not below MN={MN}: the receiver needs every "
-            f"path delay to round to a tap below MN, i.e. a delay shorter "
-            f"than one frame of {1e9 * params.N / params.delta_f:.6g} ns")
+    _check_tap(L, params)
     low = max(min(params.M, MIN_BLOCK), L + 1)
     return next(b for b in range(low, MN + 1) if MN % b == 0)
+
+
+def _check_tap(L, params: FrameParams):
+    """Raise ParameterError unless the delay tap L is below MN."""
+    if L >= params.size:
+        raise ParameterError(
+            f"delay tap {L:.0f} is not below MN={params.size}: the receiver "
+            f"needs every path delay to round to a tap below MN, i.e. a "
+            f"delay shorter than one frame of "
+            f"{1e9 * params.N / params.delta_f:.6g} ns")
 
 
 def _path_gains(ch: ChannelRealization, params: FrameParams):
@@ -200,48 +215,34 @@ class ChannelBlocks:
     """apply_channel cut into J blocks of b samples, b above every tap.
 
     Output block j depends only on input blocks j and j-1 (cyclic in j):
-    r_j = D[j] @ s_j + E[j] @ s_{j-1}.  The Gram matrix H^H H is then
-    block-cyclic tridiagonal, with diagonal blocks
-    gram[j] = D[j]^H D[j] + E[j+1]^H E[j+1] and sub-diagonal blocks
-    D[j]^H E[j] at (j, j-1).  D, DH = D^H (per block), E and gram are
-    (J, b, b); b is block_size's, so J = MN/b need not be N.
-
-    With L the largest delay tap, E[j] is zero outside its first L rows
-    and last L columns, and D[j] is lower triangular, so D[j]^H E[j] is
-    zero outside its top-right L x L corner: rows below L, columns from
-    b - L.  lower_corner (J, L, L) holds those corners; every coupling
-    between blocks has rank at most L.  At J = 1 and J = 2, the cyclic
-    corner blocks land on the same block position as another term and
-    add to it.
+    r_j = D[j] @ s_j, plus E[j] @ s_{j-1}[b-L:] in its first L rows, with
+    L the largest delay tap.  D (J, b, b) holds the diagonal blocks; E
+    (J, L, L) holds the top-right L x L corner of each block (j, j-1),
+    which is zero outside it.  b is block_size's, so J = MN/b need not
+    be N.
     """
 
     D: np.ndarray
-    DH: np.ndarray
     E: np.ndarray
-    gram: np.ndarray
-    lower_corner: np.ndarray
 
 
 def channel_blocks(ch: ChannelRealization, params: FrameParams) -> ChannelBlocks:
-    """The blocks of apply_channel and of its Gram matrix, built from the
-    taps with the same per-sample phases, in blocks of block_size's b
-    samples; every tap must be below MN."""
+    """The blocks of apply_channel, built from the taps with the same
+    per-sample phases, in blocks of block_size's b samples; every tap
+    must be below MN."""
     b = block_size(ch.delay_taps, params)
     J = params.size // b
+    L = int(np.max(ch.delay_taps, initial=0))
     q = np.arange(b)
     D = np.zeros((J, b, b), dtype=complex)
-    E = np.zeros((J, b, b), dtype=complex)
+    E = np.zeros((J, L, L), dtype=complex)
     for l, gain in _path_gains(ch, params):
         phase = gain.reshape(J, b)
-        # Row q of block j reads sample q - l of block j, or of block
-        # j - 1 where q < l.
+        # Row q of block j reads sample q - l of block j, or, where q < l,
+        # sample b + q - l of block j - 1: column q + L - l of E[j].
         D[:, q[l:], q[l:] - l] += phase[:, l:]
-        E[:, q[:l], q[:l] + b - l] += phase[:, :l]
-    DH, EH = D.conj().swapaxes(1, 2), E.conj().swapaxes(1, 2)
-    L = int(np.max(ch.delay_taps, initial=0))
-    return ChannelBlocks(D=D, DH=DH, E=E,
-                         gram=DH @ D + np.roll(EH @ E, -1, axis=0),
-                         lower_corner=DH[:, :L, :L] @ E[:, :L, b - L:])
+        E[:, q[:l], q[:l] + L - l] += phase[:, :l]
+    return ChannelBlocks(D=D, E=E)
 
 
 def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
                         mu_expand)
-from .channel import (add_noise, apply_channel, block_size, calibrate_noise,
+from .channel import (add_noise, apply_channel, calibrate_noise,
                       channel_blocks, delay_taps, identity_channel,
                       sample_channels, unit_noise)
 from .config import ExperimentConfig, config_summary
@@ -197,7 +197,7 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
     params, alphabet = cfg.params, cfg.alphabet
     profile = cfg.channel_profile
     if profile is not None:
-        block_size(delay_taps(profile, params), params)  # raises where none exists
+        delay_taps(profile, params)  # raises where no block size exists
     methods = cfg.methods
     rows = [(snr_db, i) for snr_db in snrs for i in range(len(methods))]
     counts = [ErrorCounts(0, 0, 0, 0)] * (len(nus) * len(rows))

@@ -100,21 +100,23 @@ def block_mmse_equalize(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     r is one frame (MN,) or a stack of frames (S, MN), and loading
     (sigma2_dd/Es) holds one value per frame: a scalar or shape (S,).
     Every frame shares the channel's blocks and solves
-    (H^H H + loading I) z = H^H r, all in one recursion.  The matrix is
-    block-cyclic tridiagonal in the J blocks of b samples that
-    channel_blocks cut.  Its blocks 0..J-2 form a block tridiagonal T,
-    bordered by block column J-1.  Block Thomas on T leaves the b x b
-    Schur complement of the last block.
+    (H^H H + loading I) z = H^H r, all in one recursion.  From the
+    channel's blocks D[j] and corners E[j] (channel_blocks), H^H H is
+    block-cyclic tridiagonal: diagonal block j is D[j]^H D[j] plus
+    E[j+1]^H E[j+1] in its last L rows and columns, and as D[j] is lower
+    triangular, block (j, j-1) is zero outside its top-right L x L corner
+    C[j] = D[j][:L, :L]^H E[j]: every coupling has rank at most L, the
+    largest delay tap.  Blocks 0..J-2 form a block tridiagonal T,
+    bordered by block column J-1.  Block Thomas on T, forming each Gram
+    block when it reaches it, leaves the b x b Schur complement of the
+    last block.
 
-    The couplings have rank L, the largest delay tap: each sub-diagonal
-    block is zero outside its top-right L x L corner
-    (ChannelBlocks.lower_corner).  So each pivot solve takes at most
-    3L+1 right-hand sides: the L last unit columns (the next coupling),
-    the border's nonzero columns (its first and last L) and H^H r.
-    Where 2L > b those two column sets overlap and the count is L+b+1,
-    so a profile whose largest tap nears b gains little over the 2b+1 of
-    dense couplings, but costs no more.  The Schur and forward updates
-    touch only an L x L or L-row corner.
+    So each pivot solve takes at most 3L+1 right-hand sides: the L last
+    unit columns (the next coupling), the border's nonzero columns (its
+    first and last L) and H^H r.  Where 2L > b those two column sets
+    overlap and the count is L+b+1, so a profile whose largest tap nears
+    b gains little over the 2b+1 of dense couplings, but costs no more.
+    The Schur and forward updates touch only an L x L or L-row corner.
 
     A frame whose solve fails (a singular pivot) or returns non-finite
     values comes back as all NaN.  Every other frame's z is bit for bit
@@ -144,23 +146,28 @@ def block_mmse_equalize(blocks: ChannelBlocks, r, loading) -> np.ndarray:
 
 def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     """block_mmse_equalize on a stack r (S, MN) with loadings (S,)."""
-    J, b = blocks.D.shape[:2]
-    C = blocks.lower_corner
+    D, E = blocks.D, blocks.E
+    J, b = D.shape[:2]
+    L = E.shape[-1]
+    C = _adjoint(D[:, :L, :L]) @ E
     CH = _adjoint(C)
-    L = C.shape[-1]
     K = J - 1
     S = len(r)
     r = r.reshape(S, J, b, 1)
-    # H^H r, block by block.  E[j]^H r_j is zero but for its last L rows.
-    g = blocks.DH @ r
-    g[:, :, b - L:] += np.roll(_adjoint(blocks.E[:, :L, b - L:]) @ r[:, :, :L],
-                               -1, axis=1)
+    # H^H r, block by block: D[j]^H r_j, formed without a conjugate copy
+    # of D, with E[j+1]^H times the first L samples of r_{j+1} added to
+    # its last L rows.
+    g = np.conj(D.swapaxes(1, 2) @ np.conj(r))
+    g[:, :, b - L:] += np.roll(_adjoint(E) @ r[:, :, :L], -1, axis=1)
     diag = np.arange(b)
 
     def loaded(j):
-        """Diagonal block j plus each frame's loading: one (S, b, b)
-        stack, built only when the recursion reaches block j."""
-        pivot = np.repeat(blocks.gram[j][None], S, axis=0)
+        """Gram block j plus each frame's loading: one (S, b, b) stack,
+        built only when the recursion reaches block j."""
+        gram = _adjoint(D[j]) @ D[j]
+        after = E[(j + 1) % J]
+        gram[b - L:, b - L:] += _adjoint(after) @ after
+        pivot = np.repeat(gram[None], S, axis=0)
         pivot[:, diag, diag] += loading[:, None]
         return pivot
 

@@ -31,6 +31,11 @@ class TestPathProfile:
             PathProfile((100.0, 0.0), (0.0, 0.0))
         with pytest.raises(ParameterError):
             PathProfile((-5.0,), (0.0,))
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ParameterError, match="delays_ns must be finite"):
+                PathProfile((0.0, bad), (0.0, 0.0))
+            with pytest.raises(ParameterError, match="powers_db must be finite"):
+                PathProfile((0.0, 50.0), (0.0, bad))
         with pytest.raises(ParameterError):
             named_profile("nosuch")
 
@@ -88,6 +93,12 @@ class TestSampleChannel:
         assert np.array_equal(chs[2].doppler_hz, 4.0 * chs[1].doppler_hz)
         with pytest.raises(ParameterError, match="nu_max must be >= 0"):
             sample_channels(ETU300_PROFILE, (0.0, -1.0), params, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("nu_max", [float("nan"), float("inf")])
+    def test_non_finite_nu_max_rejected(self, nu_max):
+        with pytest.raises(ParameterError, match="nu_max must be >= 0 and finite"):
+            sample_channel(ETU300_PROFILE, nu_max, FrameParams(M=4, N=4),
+                           np.random.default_rng(6))
 
 
 class TestApplyChannel:

@@ -382,6 +382,26 @@ class TestProfileFile:
         assert "error:" in r.stderr and "tap 72 is not below MN=64" in r.stderr
         assert list(tmp_path.iterdir()) == [prof]
 
+    @pytest.mark.parametrize("delays, powers, message", [
+        ("[0.0, nan]", "[0.0, -3.0]", "delays_ns must be finite"),
+        ("[0.0, inf]", "[0.0, -3.0]", "delays_ns must be finite"),
+        # Tap 6e25 does not fit an int64; it fails like any tap >= MN.
+        ("[0.0, 1e30]", "[0.0, -3.0]", "is not below MN=16"),
+        ("[0.0, 50.0]", "[0.0, nan]", "powers_db must be finite"),
+        ("[0.0, 50.0]", "[0.0, inf]", "powers_db must be finite"),
+    ])
+    def test_bad_profile_value_fails_before_any_frame(self, tmp_path, delays,
+                                                      powers, message):
+        prof = tmp_path / "prof.toml"
+        prof.write_text(f"delays_ns = {delays}\npowers_db = {powers}\n")
+        r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "2",
+                    "--method", "none", "--snr-db-list", "10",
+                    "--profile-file", str(prof), "--output", str(tmp_path / "bad"))
+        assert r.returncode == 1
+        assert "error:" in r.stderr and message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert list(tmp_path.iterdir()) == [prof]
+
     def test_profile_file_missing_key(self, tmp_path):
         prof = tmp_path / "prof.cfg"
         prof.write_text("delays_ns = [0, 1000]\n")

@@ -119,6 +119,26 @@ def oracle_channel(params, n_taps, taps, rng):
     return ch
 
 
+def assert_blocks_of_dense_matrix(blocks, ch, params):
+    """D and the E corners are bit for bit the blocks of the dense
+    time-domain matrix, which is zero outside D and those corners."""
+    J, b = blocks.D.shape[:2]
+    L = int(np.max(ch.delay_taps, initial=0))
+    assert blocks.D.shape == (J, b, b) and blocks.E.shape == (J, L, L)
+    H = time_domain_matrix(ch, params).reshape(J, b, J, b)
+    j = np.arange(J)
+    lower = np.zeros((J, b, b), dtype=complex)
+    lower[:, :L, b - L:] = blocks.E
+    if J == 1:
+        assert np.array_equal(blocks.D + lower, H[j, :, j])
+    else:
+        assert np.array_equal(blocks.D, H[j, :, j])
+        assert np.array_equal(lower, H[j, :, j - 1])
+    H[j, :, j] = 0
+    H[j, :, j - 1] = 0
+    assert not H.any()
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 4),
        st.sampled_from(["random", "zero", "top", "half", "last"]),
@@ -154,10 +174,11 @@ def test_block_solve_matches_dense_oracle(M, N, n_taps, taps, loadings, seed):
     L = int(ch.delay_taps.max())
     J, b = blocks.D.shape[:2]
     assert b == block_size(ch.delay_taps, params) and J * b == params.size
-    assert blocks.lower_corner.shape == (J, L, L)
+    assert_blocks_of_dense_matrix(blocks, ch, params)
     s = rng.standard_normal(params.size) + 1j * rng.standard_normal(params.size)
     s_blocks = s.reshape(J, b, 1)
-    via_blocks = blocks.D @ s_blocks + blocks.E @ np.roll(s_blocks, 1, axis=0)
+    via_blocks = blocks.D @ s_blocks
+    via_blocks[:, :L] += blocks.E @ np.roll(s_blocks, 1, axis=0)[:, b - L:]
     assert np.allclose(via_blocks.reshape(-1), apply_channel(s, ch, params),
                        rtol=0, atol=1e-12 * np.linalg.norm(s))
     loadings = np.array(loadings)
@@ -199,10 +220,8 @@ def test_block_size_rule(M, N, taps, b):
 
 def test_blocks_below_m_are_the_m_sample_blocks():
     """With every tap below M <= 16, the blocks are the N blocks of M
-    samples: D and E bit for bit the blocks of the dense time-domain
-    matrix, and D^H, the Gram blocks and their corners bit for bit those
-    formed from them, so the receiver does the same arithmetic on the
-    same numbers as with blocks of M samples."""
+    samples: D and the (N, L, L) corners E bit for bit the blocks of the
+    dense time-domain matrix, which is zero outside them."""
     rng = np.random.default_rng(12)
     for _ in range(120):
         params = FrameParams(M=int(rng.integers(1, 17)), N=int(rng.integers(1, 9)))
@@ -210,19 +229,7 @@ def test_blocks_below_m_are_the_m_sample_blocks():
         ch = random_channel(M, int(rng.integers(1, 5)), rng)
         blocks = channel_blocks(ch, params)
         assert blocks.D.shape == (N, M, M)
-        H = time_domain_matrix(ch, params).reshape(N, M, N, M)
-        D = H[np.arange(N), :, np.arange(N)]
-        E = H[np.arange(N), :, np.arange(N) - 1]
-        if N == 1:
-            assert np.array_equal(blocks.D + blocks.E, D)
-        else:
-            assert np.array_equal(blocks.D, D) and np.array_equal(blocks.E, E)
-        D, E = blocks.D, blocks.E
-        DH, EH = D.conj().swapaxes(1, 2), E.conj().swapaxes(1, 2)
-        L = int(ch.delay_taps.max())
-        assert np.array_equal(blocks.DH, DH)
-        assert np.array_equal(blocks.gram, DH @ D + np.roll(EH @ E, -1, axis=0))
-        assert np.array_equal(blocks.lower_corner, DH[:, :L, :L] @ E[:, :L, M - L:])
+        assert_blocks_of_dense_matrix(blocks, ch, params)
 
 
 @pytest.mark.parametrize("M", [32, 64])
@@ -406,9 +413,10 @@ def test_stack_allocates_less_than_a_copy_of_the_gram_blocks_per_row():
 
 
 def test_one_row_at_64x16_allocates_less_than_one_stack_of_m_by_m_blocks():
-    """ETU-300 at 64x16 takes blocks of 16 samples, and D^H is kept with
-    the blocks rather than formed on every solve, so one row allocates
-    less than one (N, M, M) complex stack, N*M^2*16 bytes."""
+    """ETU-300 at 64x16 takes blocks of 16 samples, and the solve forms
+    H^H r without an adjoint copy of D and each Gram block only when it
+    reaches it, so one row allocates less than one (N, M, M) complex
+    stack, N*M^2*16 bytes."""
     params = FrameParams(M=64, N=16)
     rng = np.random.default_rng(16)
     blocks = channel_blocks(sample_channel(ETU300_PROFILE, 300.0, params, rng), params)
@@ -421,6 +429,23 @@ def test_one_row_at_64x16_allocates_less_than_one_stack_of_m_by_m_blocks():
         tracemalloc.stop()
     assert np.isfinite(z).all()
     assert peak < params.N * params.M ** 2 * 16
+
+
+def test_building_the_blocks_at_64x16_allocates_less_than_two_stacks_of_blocks():
+    """channel_blocks keeps D and only the L x L corners E, and forms no
+    Gram product, so a build at 64x16 (64 blocks of 16) allocates less
+    than two (J, b, b) complex stacks, 2*J*b^2*16 bytes."""
+    params = FrameParams(M=64, N=16)
+    ch = sample_channel(ETU300_PROFILE, 300.0, params, np.random.default_rng(17))
+    tracemalloc.start()
+    try:
+        blocks = channel_blocks(ch, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    J, b = blocks.D.shape[:2]
+    assert (J, b) == (64, 16) and blocks.E.shape == (J, 5, 5)
+    assert peak < 2 * J * b * b * 16
 
 
 class TestDenseSizeGuards:
