@@ -14,9 +14,6 @@ import numpy as np
 from .errors import ParameterError
 from .frame import FrameParams
 
-_ROUND_TRIP_GUARD = 1e-12
-
-
 @dataclass(frozen=True)
 class CompandingConfig:
     mu: float
@@ -156,25 +153,24 @@ def dft_spread(u, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
       index reversal, so each time sample is one symbol: 0 dB PAPR for
       PSK at critical sampling.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {u.shape}")
-    grid = u.reshape(params.N, params.M)
-    if cfg.axis == "delay":
-        spread = np.fft.fft(grid, axis=1) / np.sqrt(params.M)
-    else:
-        spread = np.fft.fft(grid, axis=0) / np.sqrt(params.N)
-    return spread.reshape(params.size)
+    return _unitary_dft(u, cfg, params, inverse=False)
 
 
 def dft_despread(x, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
     """Exact inverse of dft_spread, applied after equalization."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {x.shape}")
-    grid = x.reshape(params.N, params.M)
-    if cfg.axis == "delay":
-        out = np.fft.ifft(grid, axis=1) * np.sqrt(params.M)
+    return _unitary_dft(x, cfg, params, inverse=True)
+
+
+def _unitary_dft(v, cfg: DftSpreadConfig, params: FrameParams,
+                 inverse: bool) -> np.ndarray:
+    """The unitary DFT of the symbol grid along cfg.axis, or its inverse."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (params.size,):
+        raise ParameterError(f"expected {params.size} symbols, got shape {v.shape}")
+    axis, n = (1, params.M) if cfg.axis == "delay" else (0, params.N)
+    grid = v.reshape(params.N, params.M)
+    if inverse:
+        out = np.fft.ifft(grid, axis=axis) * np.sqrt(n)
     else:
-        out = np.fft.ifft(grid, axis=0) * np.sqrt(params.N)
+        out = np.fft.fft(grid, axis=axis) / np.sqrt(n)
     return out.reshape(params.size)

@@ -111,7 +111,8 @@ def sample_channels(profile: PathProfile, nu_maxes, params: FrameParams,
     for nu_max in nu_maxes:
         if not 0 <= nu_max < math.inf:
             raise ParameterError(f"nu_max must be >= 0 and finite, got {nu_max}")
-    lin = 10.0 ** (np.asarray(profile.powers_db) / 10.0)
+    # Relative to the strongest path: no finite power overflows or all underflow.
+    lin = 10.0 ** ((np.asarray(profile.powers_db) - max(profile.powers_db)) / 10.0)
     var = lin / lin.sum()
     n = profile.n_paths
     gains = np.sqrt(var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -10,10 +10,11 @@ unit-noise vector.  Every sweep point (SNR or maximum Doppler) runs on
 these common draws, so a point's rows are those of a run at that point
 alone.  The loop is frame-major: every method runs on a frame before the
 next one is drawn, so methods are compared on identical frames, channels
-and noise.  Frames are drawn in chunks so that the greedy precoder
-searches a whole chunk in lockstep; every other stage runs frame by
-frame, on the stack of the frame's methods (and, in the receiver, of its
-methods at every SNR).
+and noise.  One transmit stage, `_frames`, serves every runner: it draws
+frames in chunks so that the greedy precoder searches a whole chunk in
+lockstep, and yields each frame with every method's transmit signal.
+Every later stage runs frame by frame, on the stack of the frame's
+methods (and, in the receiver, of its methods at every SNR).
 """
 
 import datetime
@@ -33,7 +34,7 @@ from .errors import ParameterError
 from .frame import detect_symbols, map_bits_to_symbols
 from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
 from .modem import demodulate, modulate
-from .precoder import PrecodeResult, greedy_precode, greedy_precode_batch
+from .precoder import PrecodeResult, greedy_precode_batch
 from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
                        dd_noise_variance)
 
@@ -61,13 +62,15 @@ def draw_info_vector(cfg: ExperimentConfig, rng: np.random.Generator):
 
 
 def _frames(cfg: ExperimentConfig, methods, *point: int):
-    """Yield (substream, information vector, greedy result) for each
-    frame, frame f drawing from frame_rng(seed, *point, f); the caller
-    runs every method on the frame before the next.
+    """The runners' one transmit stage: yield (substream, information
+    vector, one TransmitFrame per method) for each frame, frame f drawing
+    from frame_rng(seed, *point, f); the caller finishes the frame before
+    the next.
 
     Frames are drawn in chunks of about FRAME_CHUNK_SYMBOLS symbols, and
     if `methods` include "proposed" each chunk is precoded in one
-    lockstep greedy_precode_batch call; otherwise the result is None.
+    lockstep greedy_precode_batch call.  Transmitting draws nothing from
+    the substream, so the caller's draws follow the information vector's.
     """
     chunk = max(1, FRAME_CHUNK_SYMBOLS // cfg.params.size)
     for start in range(0, cfg.frames, chunk):
@@ -80,7 +83,7 @@ def _frames(cfg: ExperimentConfig, methods, *point: int):
             precoded = greedy_precode_batch([u for _, u in drawn], cfg.params,
                                             cfg.greedy)
         for (rng, u), result in zip(drawn, precoded):
-            yield rng, u, result
+            yield rng, u, [transmit(u, method, cfg, result) for method in methods]
 
 
 @dataclass(frozen=True)
@@ -92,18 +95,16 @@ class TransmitFrame:
 
 
 def transmit(u, method: str, cfg: ExperimentConfig,
-             precoded: PrecodeResult | None = None) -> TransmitFrame:
+             precoded: PrecodeResult | None) -> TransmitFrame:
     """Apply one method's transmit path to an information vector.
 
-    `precoded` is u's greedy_precode result where the caller already
-    has it (from a batch); otherwise "proposed" computes it.
+    `precoded` is u's greedy search result, which "proposed" modulates;
+    the other methods ignore it.
     """
     params = cfg.params
     if method == "none":
         return TransmitFrame(s=modulate(u, params))
     if method == "proposed":
-        if precoded is None:
-            precoded = greedy_precode(u, params, cfg.greedy)
         return TransmitFrame(s=modulate(precoded.x_star, params))
     if method == "companding":
         s0 = modulate(u, params)
@@ -133,9 +134,8 @@ class CcdfResult:
 def _papr_samples(cfg: ExperimentConfig, methods, *point: int) -> np.ndarray:
     """PAPR (dB) of every frame at one sweep point, one row per method."""
     samples = np.empty((len(methods), cfg.frames))
-    for f, (_, u, precoded) in enumerate(_frames(cfg, methods, *point)):
-        for i, method in enumerate(methods):
-            samples[i, f] = papr(transmit(u, method, cfg, precoded).s).value_db
+    for f, (_, _, sent) in enumerate(_frames(cfg, methods, *point)):
+        samples[:, f] = [papr(tx.s).value_db for tx in sent]
     return samples
 
 
@@ -203,14 +203,13 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
     counts = [ErrorCounts(0, 0, 0, 0)] * (len(nus) * len(rows))
     skipped = [0] * len(counts)
     clips = [0] * len(counts)
-    for rng, u, precoded in _frames(cfg, methods, 0):
+    for rng, u, sent in _frames(cfg, methods, 0):
         truth = detect_symbols(u, alphabet)
         if profile is None:
             channels = [identity_channel()] * len(nus)
         else:
             channels = sample_channels(profile, nus, params, rng)
         w = unit_noise(params.size, rng)
-        sent = [transmit(u, method, cfg, precoded) for method in methods]
         s = np.array([tx.s for tx in sent])
         for a, ch in enumerate(channels):
             r0 = apply_channel(s, ch, params)
@@ -338,21 +337,21 @@ def _metadata_lines(cfg: ExperimentConfig, kind: str, extra=(), sweep=()) -> lis
     return lines
 
 
-def render_ccdf_samples_csv(result: CcdfResult) -> str:
-    extra = [f"method: {result.method}"] + [
+def _ccdf_extra(result: CcdfResult) -> list:
+    return [f"method: {result.method}"] + [
         f"papr_db_at_ccdf_{t}: {_fmt(result.papr_at_targets[t])}"
         for t in CCDF_TARGETS]
-    lines = _metadata_lines(result.config, "ccdf-samples", extra)
+
+
+def render_ccdf_samples_csv(result: CcdfResult) -> str:
+    lines = _metadata_lines(result.config, "ccdf-samples", _ccdf_extra(result))
     lines.append("frame_idx,papr_db")
     lines.extend(f"{i},{_fmt(float(v))}" for i, v in enumerate(result.samples_db))
     return "\n".join(lines) + "\n"
 
 
 def render_ccdf_curve_csv(result: CcdfResult) -> str:
-    extra = [f"method: {result.method}"] + [
-        f"papr_db_at_ccdf_{t}: {_fmt(result.papr_at_targets[t])}"
-        for t in CCDF_TARGETS]
-    lines = _metadata_lines(result.config, "ccdf-curve", extra)
+    lines = _metadata_lines(result.config, "ccdf-curve", _ccdf_extra(result))
     lines.append("threshold_db,ccdf")
     lines.extend(f"{_fmt(float(t))},{_fmt(float(p))}"
                  for t, p in zip(result.curve.thresholds_db,
@@ -361,14 +360,11 @@ def render_ccdf_curve_csv(result: CcdfResult) -> str:
 
 
 def render_error_rate_csv(result: ErrorRateResult) -> str:
-    extra = []
-    for p in result.points:
-        if p.skipped_frames:
-            extra.append(f"skipped: method={p.method} snr_db={_fmt(p.snr_db)} "
-                         f"nu_max_hz={_fmt(p.nu_max_hz)} count={p.skipped_frames}")
-        if p.expander_clips:
-            extra.append(f"expander_clips: method={p.method} snr_db={_fmt(p.snr_db)} "
-                         f"nu_max_hz={_fmt(p.nu_max_hz)} count={p.expander_clips}")
+    extra = [f"{label}: method={p.method} snr_db={_fmt(p.snr_db)} "
+             f"nu_max_hz={_fmt(p.nu_max_hz)} count={count}"
+             for p in result.points
+             for label, count in (("skipped", p.skipped_frames),
+                                  ("expander_clips", p.expander_clips)) if count]
     lines = _metadata_lines(result.config, "error-rate", extra, result.sweep)
     lines.append("method,snr_db,nu_max_hz,frames,symbols,symbol_errors,bit_errors,ser,ber")
     for p in result.points:

@@ -53,20 +53,20 @@ def ccdf(samples_db, thresholds_db=None) -> CcdfCurve:
     return CcdfCurve(thresholds_db=th, probabilities=probs)
 
 
-def papr_at_ccdf(samples_db, target: float, thresholds_db=None) -> float:
+def papr_at_ccdf(samples_db, target: float) -> float:
     """Threshold at which the empirical CCDF crosses `target`.
 
     Read off the CCDF curve with linear interpolation between the two
     adjacent grid points that bracket the target, which keeps the
     readout well defined when the sample distribution has atoms.  The
-    readout is interpolated off the threshold grid (0.1 dB steps by
-    default), not taken from the samples, so it can be off by up to one
+    readout is interpolated off default_thresholds_db's 0.1 dB grid,
+    not taken from the samples, so it can be off by up to one
     grid step where the samples cluster within a step: a set that is
     all 0 dB up to rounding reads 0.05 dB at 0.5 and 0.09 dB at 0.1.
     """
     if not 0 < target < 1:
         raise ParameterError(f"CCDF target must be in (0, 1), got {target}")
-    curve = ccdf(samples_db, thresholds_db)
+    curve = ccdf(samples_db)
     th, probs = curve.thresholds_db, curve.probabilities
     if probs[0] <= target:
         return float(th[0])

@@ -94,6 +94,18 @@ class TestSampleChannel:
         with pytest.raises(ParameterError, match="nu_max must be >= 0"):
             sample_channels(ETU300_PROFILE, (0.0, -1.0), params, np.random.default_rng(5))
 
+    @pytest.mark.parametrize("powers_db, variances", [
+        ((0.0, 4000.0), (0.0, 1.0)),  # 10^400 overflows a float
+        ((-4000.0, -4000.0), (0.5, 0.5)),  # 10^-400 underflows to 0
+    ])
+    def test_extreme_finite_powers_give_finite_variances(self, powers_db, variances):
+        ch = sample_channel(PathProfile((0.0, 100.0), powers_db), 0.0,
+                            FrameParams(M=4, N=4), np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        unit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        assert np.allclose(ch.gains, np.sqrt(np.array(variances) / 2.0) * unit,
+                           rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("nu_max", [float("nan"), float("inf")])
     def test_non_finite_nu_max_rejected(self, nu_max):
         with pytest.raises(ParameterError, match="nu_max must be >= 0 and finite"):

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config files, overrides, exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -371,6 +372,19 @@ class TestProfileFile:
         rows = [row.split(",") for row in body_of(tmp_path / "far.csv").splitlines()]
         assert rows[1][:5] == ["none", "20", "300", "2", "128"]
 
+    @pytest.mark.parametrize("powers", ["[0.0, 4000.0]", "[-4000.0, -4000.0]"])
+    def test_extreme_finite_powers_run(self, tmp_path, powers):
+        # Linear powers of 10^400 overflow and of 10^-400 underflow.
+        prof = tmp_path / "prof.toml"
+        prof.write_text(f"delays_ns = [0, 1000]\npowers_db = {powers}\n")
+        r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "2",
+                    "--method", "none", "--snr-db-list", "10",
+                    "--profile-file", str(prof), "--output", str(tmp_path / "ext"))
+        assert r.returncode == 0, r.stderr
+        rows = [row.split(",") for row in body_of(tmp_path / "ext.csv").splitlines()]
+        assert len(rows) == 2 and rows[1][3:5] == ["2", "32"]
+        assert all(math.isfinite(float(v)) for v in rows[1][5:])
+
     def test_delay_beyond_one_frame_fails_before_any_frame(self, tmp_path):
         # 300 us at 16 x 15 kHz is tap 72, beyond the frame's 64 samples.
         prof = tmp_path / "prof.cfg"
@@ -409,3 +423,39 @@ class TestProfileFile:
                     "--snr-db-list", "20", "--profile-file", str(prof))
         assert r.returncode == 1
         assert "error:" in r.stderr
+
+
+@pytest.mark.parametrize("argv, runner, grid_sizes", [
+    (["ccdf", "--method", "proposed"], "run_ccdf", 1),
+    (["error-rate", "--method", "none,proposed", "--snr-db-list", "6,12"],
+     "run_error_rate", 1),
+    (["doppler-sweep", "--method", "none,proposed", "--nu-max-list", "0,600"],
+     "run_doppler_sweep", 1),
+    (["scaling-table", "--method", "none,proposed", "--sweep-m", "2,4"],
+     "run_scaling_table", 2),
+])
+def test_runners_and_frame_rng_are_looked_up_on_experiment(
+        tmp_path, monkeypatch, argv, runner, grid_sizes):
+    """The benchmark's contract with the package (bench/harness.py): it
+    replaces experiment's run_* runners and frame_rng before it calls
+    cli.main, and takes set-up time up to the first runner entry and
+    frame times from the frame_rng calls.  So the CLI looks each runner up
+    on `experiment` when the command runs, and every frame draws exactly
+    one frame_rng, after the runner is entered."""
+    events = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name, fn in list(vars(experiment).items()):
+        if name.startswith("run_") and callable(fn):
+            monkeypatch.setattr(experiment, name, recorded(name, fn))
+    monkeypatch.setattr(experiment, "frame_rng",
+                        recorded("frame_rng", experiment.frame_rng))
+    frames = 3
+    assert cli.main([*argv, "--M", "4", "--N", "4", "--frames", str(frames),
+                     "--profile", "etu300", "--output", str(tmp_path / "out")]) == 0
+    assert events == [runner] + ["frame_rng"] * (frames * grid_sizes)

@@ -14,6 +14,7 @@ from otfs_papr.experiment import (csv_body, draw_info_vector, frame_rng,
                                   run_scaling_table, transmit)
 from otfs_papr.frame import FrameParams, PskAlphabet, map_bits_to_symbols
 from otfs_papr.metrics import papr
+from otfs_papr.precoder import greedy_precode
 
 SMALL = dict(M=4, N=4, frames=20, seed=9)
 
@@ -66,14 +67,15 @@ class TestTransmitDispatch:
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, params.size * 2)
         u = map_bits_to_symbols(bits, alphabet, params)
+        precoded = greedy_precode(u, cfg.params, cfg.greedy)
         for method in ("none", "proposed", "companding", "icf", "dft"):
-            tx = transmit(u, method, cfg)
+            tx = transmit(u, method, cfg, precoded)
             assert tx.s.shape == (params.size,)
 
     def test_unknown_method_rejected(self):
         cfg = ExperimentConfig(M=2, N=2)
         with pytest.raises(ParameterError):
-            transmit(np.ones(4, complex), "slm", cfg)
+            transmit(np.ones(4, complex), "slm", cfg, None)
 
 
 class TestRunErrorRate:
@@ -249,7 +251,8 @@ class TestFrameChunks:
             assert chunk_sizes == sizes
             for f, value in enumerate(result.samples_db):
                 _, u = draw_info_vector(cfg, frame_rng(cfg.seed, f))
-                assert value == papr(transmit(u, "proposed", cfg).s).value_db
+                precoded = greedy_precode(u, cfg.params, cfg.greedy)
+                assert value == papr(transmit(u, "proposed", cfg, precoded).s).value_db
 
     def test_scaling_table_and_error_rate_match_one_frame_chunks(
             self, chunk_sizes, monkeypatch):
