@@ -117,16 +117,11 @@ def icf(s, cfg: IcfConfig, params: FrameParams) -> np.ndarray:
     The receiver applies no inverse; the residual clipping distortion
     rides along as noise.
     """
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} samples, got shape {s.shape}")
-    out = s
+    out = params.frame(s, "samples")
     L = cfg.oversample_factor
     for _ in range(cfg.iterations):
         up = _spectral_interpolate(out, L)
         rms = np.sqrt(np.mean(np.abs(up) ** 2))
-        if rms == 0:
-            return out
         gamma = rms * 10 ** (cfg.clip_ratio_db / 20)
         mag = np.abs(up)
         over = mag > gamma
@@ -164,11 +159,8 @@ def dft_despread(x, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
 def _unitary_dft(v, cfg: DftSpreadConfig, params: FrameParams,
                  inverse: bool) -> np.ndarray:
     """The unitary DFT of the symbol grid along cfg.axis, or its inverse."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {v.shape}")
     axis, n = (1, params.M) if cfg.axis == "delay" else (0, params.N)
-    grid = v.reshape(params.N, params.M)
+    grid = params.frame(v).reshape(params.N, params.M)
     if inverse:
         out = np.fft.ifft(grid, axis=axis) * np.sqrt(n)
     else:

@@ -266,6 +266,8 @@ def run_doppler_sweep(cfg: ExperimentConfig, nu_max_list=None) -> ErrorRateResul
     snr_db = cfg.snr_db_list[0] if cfg.snr_db_list else DOPPLER_SWEEP_SNR_DB
     cfg = replace(cfg, snr_db_list=(snr_db,))
     nus = DOPPLER_SWEEP_DEFAULT_HZ if nu_max_list is None else nu_max_list
+    if len(nus) == 0:
+        raise ParameterError("nu_max_list must be non-empty for doppler-sweep runs")
     # Every Doppler value is validated before the first frame runs.
     nus = tuple(replace(cfg, nu_max_hz=float(nu)).nu_max_hz for nu in nus)
     return ErrorRateResult(config=cfg, points=_error_sweep(cfg, nus, (snr_db,)),
@@ -300,6 +302,8 @@ def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> Scal
     if (sweep_m is None) == (sweep_n is None):
         raise ParameterError("provide exactly one of sweep_m or sweep_n")
     key, values = ("M", sweep_m) if sweep_m is not None else ("N", sweep_n)
+    if len(values) == 0:
+        raise ParameterError(f"sweep_{key.lower()} must be non-empty for scaling-table runs")
     # Every grid size is validated before the first frame runs.
     sized_cfgs = [replace(cfg, **{key: int(value)}) for value in values]
     rows = []

@@ -2,7 +2,9 @@
 
 Symbols live on a delay-Doppler grid with M delay bins and N Doppler bins.
 The flat layout puts the (k, l)-th grid symbol (k Doppler, l delay) at
-vector index k*M + l.
+vector index k*M + l.  FrameParams checks frames: every single-frame
+entry point takes its frame through FrameParams.frame, which accepts
+exactly MN symbols or time samples.
 """
 
 from dataclasses import dataclass
@@ -48,6 +50,14 @@ class FrameParams:
     def size(self) -> int:
         """Number of symbols (and time samples) per frame."""
         return self.M * self.N
+
+    def frame(self, x, what: str = "symbols") -> np.ndarray:
+        """x as a complex array of shape (size,).  Any other shape raises
+        ParameterError, whose message calls the elements `what`."""
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.size,):
+            raise ParameterError(f"expected {self.size} {what}, got shape {x.shape}")
+        return x
 
 
 def check_dense_size(size: int, what: str):

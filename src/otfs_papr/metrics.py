@@ -75,6 +75,4 @@ def papr_at_ccdf(samples_db, target: float) -> float:
         return float(th[-1])
     i = below[0]
     c1, c0 = probs[i - 1], probs[i]
-    if c1 == c0:
-        return float(th[i])
     return float(th[i - 1] + (th[i] - th[i - 1]) * (c1 - target) / (c1 - c0))

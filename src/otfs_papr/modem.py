@@ -23,17 +23,13 @@ from .frame import FrameParams, check_dense_size
 
 def modulate(x, params: FrameParams) -> np.ndarray:
     """Synthesize the MN critically-sampled time samples from DD symbols."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {x.shape}")
+    x = params.frame(x)
     return np.fft.fft(x.reshape(params.N, params.M), axis=0).reshape(params.size)
 
 
 def demodulate(r, params: FrameParams) -> np.ndarray:
     """Recover DD symbols from time samples; exact inverse of modulate."""
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} samples, got shape {r.shape}")
+    r = params.frame(r, "samples")
     return np.fft.ifft(r.reshape(params.N, params.M), axis=0).reshape(params.size)
 
 
@@ -55,10 +51,7 @@ def time_frequency_grid(x, params: FrameParams) -> np.ndarray:
     X[n, m] = sum_{k,l} x[k, l] exp(-2j*pi*(m*l/M + n*k/N)); the Doppler
     sign is the one consistent with modulate()'s sampled form.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {x.shape}")
-    grid = x.reshape(params.N, params.M)
+    grid = params.frame(x).reshape(params.N, params.M)
     return np.fft.fft(np.fft.fft(grid, axis=0), axis=1)
 
 

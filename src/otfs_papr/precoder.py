@@ -120,10 +120,7 @@ def greedy_precode(u, params: FrameParams, cfg: GreedyConfig) -> PrecodeResult:
     non-improving one.  This is greedy_precode_batch on a batch of one
     frame.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {u.shape}")
-    return greedy_precode_batch(u[None, :], params, cfg)[0]
+    return greedy_precode_batch(params.frame(u)[None, :], params, cfg)[0]
 
 
 def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[PrecodeResult]:
@@ -215,9 +212,7 @@ def brute_force_precode(u, params: FrameParams) -> tuple[np.ndarray, PaprSample]
     Bit i of the enumeration counter selects u[i] (0) or 2*u[i] (1);
     ties keep the lowest counter.  Guarded to MN <= 20.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (params.size,):
-        raise ParameterError(f"expected {params.size} symbols, got shape {u.shape}")
+    u = params.frame(u)
     _base_amplitude(u)
     MN = params.size
     if MN > BRUTE_FORCE_MAX_SYMBOLS:

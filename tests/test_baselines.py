@@ -69,6 +69,10 @@ class TestExpander:
         assert clip_count(s, 1.0) == 1
         assert clip_count(np.array([0.5 + 0j]), 1.0) == 0
 
+    def test_rejects_non_positive_reference(self):
+        with pytest.raises(ParameterError, match="peak reference must be positive"):
+            mu_expand(np.ones(4, complex), CompandingConfig(mu=4), V=0.0)
+
 
 class TestSpectralResampling:
     @pytest.mark.parametrize("n,L", [(8, 2), (16, 4), (15, 3), (9, 2)])
@@ -97,6 +101,12 @@ class TestIcf:
         s = modulate(random_frame(16, 9), p)
         out = icf(s, IcfConfig(clip_ratio_db=40.0, iterations=2, oversample_factor=4), p)
         assert np.max(np.abs(out - s)) <= 1e-10 * np.max(np.abs(s))
+
+    def test_all_zero_frame_stays_zero(self):
+        p = FrameParams(M=4, N=4)
+        out = icf(np.zeros(16), IcfConfig(clip_ratio_db=4.0, iterations=3,
+                                           oversample_factor=4), p)
+        assert np.all(out == 0)
 
     def test_oversampled_clip_stage_caps_magnitudes(self):
         cfg = IcfConfig(clip_ratio_db=3.0, iterations=1, oversample_factor=4)

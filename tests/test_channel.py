@@ -31,6 +31,8 @@ class TestPathProfile:
             PathProfile((100.0, 0.0), (0.0, 0.0))
         with pytest.raises(ParameterError):
             PathProfile((-5.0,), (0.0,))
+        with pytest.raises(ParameterError, match="at least one path"):
+            PathProfile((), ())
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ParameterError, match="delays_ns must be finite"):
                 PathProfile((0.0, bad), (0.0, 0.0))

@@ -268,6 +268,9 @@ class TestPrecodeCommand:
     (["scaling-table", "--sweep-m", "4.5"], "'sweep_m' expects an integer"),
     (["scaling-table", "--sweep-n", "4,x"], "'sweep_n' expects a number"),
     (["error-rate", "--snr-db-list=-inf,0"], "snr_db_list must not hold NaN, -inf"),
+    (["doppler-sweep", "--nu-max-list", ","], "nu_max_list must be non-empty"),
+    (["scaling-table", "--sweep-m", ","], "sweep_m must be non-empty"),
+    (["scaling-table", "--sweep-n", ","], "sweep_n must be non-empty"),
 ])
 def test_bad_sweep_value_fails_before_any_frame(tmp_path, monkeypatch, capsys,
                                                 argv, named):

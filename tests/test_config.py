@@ -104,6 +104,7 @@ class TestConfigConstruction:
         dict(nu_max_hz=-300.0), dict(nu_max_hz=float("inf")),
         dict(nu_max_hz=float("nan")), dict(snr_db_list=(10.0, float("nan"))),
         dict(snr_db_list=(float("-inf"), 0.0)), dict(snr_db_list=(-4000.0,)),
+        dict(method=","),
     ])
     def test_stage_validation(self, bad):
         with pytest.raises(ParameterError):

@@ -1,13 +1,33 @@
 """Frame parameters, alphabets, Gray mapping and phase detection."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfs_papr import (FrameParams, ParameterError, PskAlphabet,
-                       UnsupportedModulationError, detect_symbols,
-                       map_bits_to_symbols, symbols_to_bits)
+from otfs_papr import (DftSpreadConfig, FrameParams, GreedyConfig, IcfConfig,
+                       ParameterError, PskAlphabet, UnsupportedModulationError,
+                       brute_force_precode, demodulate, detect_symbols,
+                       dft_despread, dft_spread, greedy_precode, icf,
+                       map_bits_to_symbols, modulate, symbols_to_bits,
+                       time_frequency_grid)
+
+# Every single-frame entry point, with what its frame holds.
+FRAME_ENTRY_POINTS = [
+    pytest.param(modulate, "symbols", id="modulate"),
+    pytest.param(demodulate, "samples", id="demodulate"),
+    pytest.param(time_frequency_grid, "symbols", id="time_frequency_grid"),
+    pytest.param(lambda s, p: icf(s, IcfConfig(4.0, 1, 4), p), "samples", id="icf"),
+    pytest.param(lambda u, p: dft_spread(u, DftSpreadConfig("delay"), p), "symbols",
+                 id="dft_spread"),
+    pytest.param(lambda x, p: dft_despread(x, DftSpreadConfig("delay"), p), "symbols",
+                 id="dft_despread"),
+    pytest.param(lambda u, p: greedy_precode(u, p, GreedyConfig(max_iter=0)), "symbols",
+                 id="greedy_precode"),
+    pytest.param(brute_force_precode, "symbols", id="brute_force_precode"),
+]
 
 
 class TestFrameParams:
@@ -24,6 +44,19 @@ class TestFrameParams:
     def test_rejects_bad_dimensions(self, kwargs):
         with pytest.raises(ParameterError):
             FrameParams(**kwargs)
+
+    def test_frame_is_a_complex_vector_of_size(self):
+        x = FrameParams(M=2, N=2).frame([1, 2, 3, 4])
+        assert x.dtype == complex and x.shape == (4,)
+        assert x.tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("shape", [(11,), (13,), (1, 12), (12, 1)])
+    @pytest.mark.parametrize("entry_point, what", FRAME_ENTRY_POINTS)
+    def test_entry_points_reject_any_other_shape(self, entry_point, what, shape):
+        p = FrameParams(M=3, N=4)  # MN = 12
+        match = f"expected {p.size} {what}, got shape {re.escape(str(shape))}"
+        with pytest.raises(ParameterError, match=match):
+            entry_point(np.ones(shape), p)
 
 
 class TestPskAlphabet:
@@ -68,6 +101,10 @@ class TestBitMapping:
     def test_bit_length_mismatch(self):
         with pytest.raises(ParameterError):
             map_bits_to_symbols([0, 1, 0], PskAlphabet(D=2), FrameParams(M=2, N=1))
+
+    def test_non_binary_bit(self):
+        with pytest.raises(ParameterError, match="bits must be 0 or 1"):
+            map_bits_to_symbols([0, 2], PskAlphabet(D=2), FrameParams(M=2, N=1))
 
     def test_non_power_of_two_order(self):
         with pytest.raises(UnsupportedModulationError):

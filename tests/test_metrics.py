@@ -5,7 +5,7 @@ import pytest
 
 from otfs_papr import (FrameParams, ParameterError, UndefinedPaprError, ccdf,
                        default_thresholds_db, modulate, papr, papr_at_ccdf)
-from otfs_papr.metrics import CCDF_THRESHOLD_STEP_DB
+from otfs_papr.metrics import CCDF_THRESHOLD_MAX_DB, CCDF_THRESHOLD_STEP_DB
 
 
 class TestPapr:
@@ -104,6 +104,11 @@ class TestCcdfReadout:
             assert 0.0 <= value - offset_db <= CCDF_THRESHOLD_STEP_DB
             if offset_db > 0:  # just above the 0 dB grid point
                 assert value == pytest.approx(on_grid)
+
+    def test_samples_above_the_grid_read_its_top(self):
+        samples = [13.5, 14.0, 20.0]
+        assert papr_at_ccdf(samples, 0.5) == CCDF_THRESHOLD_MAX_DB == 13.0
+        assert papr_at_ccdf(samples, 0.1) == 13.0
 
     def test_rejects_unusable_targets(self):
         with pytest.raises(ParameterError):

@@ -305,6 +305,41 @@ def test_batch_results_do_not_depend_on_batch_membership(M, N, D, max_iter,
         assert r.papr_star == alone.papr_star
 
 
+# M = 1 QPSK frames whose last pass commits a candidate that the refreshed
+# grid does not confirm (an ulp-level tie): (N, symbol indices, passes,
+# flips, |x*|).
+ULP_TIE_FRAMES = [
+    (2, [1, 2], 1, [], [1, 1]),
+    (6, [1, 2, 3, 1, 0, 2], 4, [2, 1, 3], [1, 2, 2, 2, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("N, indices, passes, flips, mags", ULP_TIE_FRAMES)
+def test_ulp_tie_undoes_the_flip(N, indices, passes, flips, mags):
+    """The tied flip is undone, so x* is doubled at exactly the symbols
+    that the reported flips toggle an odd number of times."""
+    p = FrameParams(M=1, N=N)
+    u = PskAlphabet(D=4).symbols()[indices]
+    r = greedy_precode(u, p, GreedyConfig(max_iter=0))
+    assert (r.iterations_used, r.flips) == (passes, flips)
+    assert np.allclose(np.abs(r.x_star), mags)
+    odd = np.bincount(r.flips, minlength=N) % 2 == 1
+    assert np.array_equal(r.x_star, np.where(odd, 2 * u, u))
+    assert r.papr_star == papr(modulate(r.x_star, p))
+
+
+def test_ulp_tie_frame_keeps_its_lone_result_in_a_batch():
+    p, cfg = FrameParams(M=1, N=6), GreedyConfig(max_iter=0)
+    rng = np.random.default_rng(17)
+    U = np.exp(2j * np.pi * rng.integers(0, 4, (9, p.size)) / 4)
+    U[4] = PskAlphabet(D=4).symbols()[ULP_TIE_FRAMES[1][1]]
+    alone = greedy_precode(U[4], p, cfg)
+    r = greedy_precode_batch(U, p, cfg)[4]
+    assert r.flips == alone.flips == ULP_TIE_FRAMES[1][3]
+    assert np.array_equal(r.x_star, alone.x_star)
+    assert (r.iterations_used, r.papr_star) == (alone.iterations_used, alone.papr_star)
+
+
 def test_batch_rejects_rows_of_the_wrong_size_or_amplitude():
     p, cfg = FrameParams(M=2, N=2), GreedyConfig(max_iter=5)
     with pytest.raises(ParameterError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from otfs_papr import (ChannelRealization, ExperimentConfig,
+from otfs_papr import (ChannelRealization, EqualizerError, ExperimentConfig,
                        FrameParams, InstanceTooLargeError, ParameterError,
                        PathProfile, add_awgn, apply_channel, channel,
                        channel_blocks, count_errors, dd_noise_variance,
@@ -94,6 +94,10 @@ class TestMmseEqualize:
             mmse_equalize(np.eye(3), np.ones(3), -1.0)  # sigma2_dd < 0
         with pytest.raises(ParameterError):
             mmse_equalize(np.eye(3), np.ones(3), float("nan"))  # 0 / Es, Es = 0
+        with pytest.raises(EqualizerError, match="solve failed"):
+            mmse_equalize(np.zeros((3, 3)), np.ones(3), 0.0)  # singular Gram
+        with pytest.raises(EqualizerError, match="non-finite"):
+            mmse_equalize(np.eye(3), np.array([1.0, np.nan, 1.0]), 0.1)
 
 
 def random_channel(M, n_taps, rng):
@@ -500,3 +504,7 @@ class TestCountErrors:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             count_errors([0, 1], [0], D=2)
+
+    def test_order_out_of_range(self):
+        with pytest.raises(ParameterError, match="modulation order out of range"):
+            count_errors([0], [0], D=1)
