@@ -19,8 +19,8 @@ class CompandingConfig:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ParameterError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < np.inf:
+            raise ParameterError(f"mu must be finite and positive, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,11 @@ class IcfConfig:
         if self.oversample_factor < 2:
             raise ParameterError(
                 f"oversample_factor must be >= 2, got {self.oversample_factor}")
+        with np.errstate(over="ignore"):  # icf's clip level is rms times this ratio
+            ratio = np.power(10.0, self.clip_ratio_db / 20)
+        if not 0 < ratio < np.inf:
+            raise ParameterError(f"clip_ratio_db must be finite, with 10**(clip_ratio_db/20) "
+                                 f"neither overflowing nor 0, got {self.clip_ratio_db}")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Subcommands mirror the experiment runners; every config key can come
 from a TOML config file (--config) and be overridden by the same-named
-flag.  The four runner subcommands also take --profile-file and
---plot-script; precode takes neither.  All file output happens here,
-never in the library modules.
+flag.  `main` builds the config once and passes it to the subcommand.
+The four runner subcommands also take --profile-file and --plot-script;
+precode takes neither.  All file output happens here, never in the
+library modules, and the runner subcommands write their CSVs, plot
+script and summary lines through one function, `_write_outputs`.
 """
 
 import argparse
@@ -101,67 +103,59 @@ _PLOTS = {
 }
 
 
-def _maybe_write_plot_script(args, kind: str, csv_path: Path):
+def _write_outputs(args, csvs: dict, summary) -> int:
+    """The runner subcommands' one output step: write each {path: text} CSV,
+    the plot script of the last one if --plot-script is set, then the summary."""
+    for path, text in csvs.items():
+        _write(path, text)
     if args.plot_script:
-        x, y, xscale, yscale, xlabel, ylabel = _PLOTS[kind]
-        script = _PLOT_TEMPLATE.format(
-            kind=kind, csv=str(csv_path), x=x, y=y, xscale=xscale,
-            yscale=yscale, xlabel=xlabel, ylabel=ylabel)
-        _write(csv_path.with_suffix(".plot.py"), script)
+        x, y, xscale, yscale, xlabel, ylabel = _PLOTS[args.command]
+        _write(path.with_suffix(".plot.py"), _PLOT_TEMPLATE.format(
+            kind=args.command, csv=str(path), x=x, y=y, xscale=xscale,
+            yscale=yscale, xlabel=xlabel, ylabel=ylabel))
+    for line in summary:
+        print(line)
+    return 0
 
 
-def _cmd_ccdf(args) -> int:
-    cfg = _build_config(args)
+def _cmd_ccdf(cfg: ExperimentConfig, args) -> int:
     result = experiment.run_ccdf(cfg)
     stem = Path(cfg.output_path)
-    _write(stem.with_suffix(".samples.csv"), experiment.render_ccdf_samples_csv(result))
-    curve_path = stem.with_suffix(".curve.csv")
-    _write(curve_path, experiment.render_ccdf_curve_csv(result))
-    _maybe_write_plot_script(args, "ccdf", curve_path)
-    for target, value in sorted(result.papr_at_targets.items(), reverse=True):
-        print(f"papr_db at ccdf {target}: {value:.3f}")
-    return 0
+    return _write_outputs(args, {
+        stem.with_suffix(".samples.csv"): experiment.render_ccdf_samples_csv(result),
+        stem.with_suffix(".curve.csv"): experiment.render_ccdf_curve_csv(result),
+    }, [f"papr_db at ccdf {target}: {value:.3f}"
+        for target, value in sorted(result.papr_at_targets.items(), reverse=True)])
 
 
-def _cmd_error_rate(args) -> int:
-    cfg = _build_config(args)
+def _cmd_error_rate(cfg: ExperimentConfig, args) -> int:
     result = experiment.run_error_rate(cfg)
-    csv_path = Path(cfg.output_path).with_suffix(".csv")
-    _write(csv_path, experiment.render_error_rate_csv(result))
-    _maybe_write_plot_script(args, "error-rate", csv_path)
-    for p in result.points:
-        print(f"{p.method} snr={p.snr_db:g} dB nu_max={p.nu_max_hz:g} Hz: "
-              f"ser={p.counts.ser:.6g} ber={p.counts.ber:.6g}")
-    return 0
+    return _write_outputs(args, {
+        Path(cfg.output_path).with_suffix(".csv"): experiment.render_error_rate_csv(result),
+    }, [f"{p.method} snr={p.snr_db:g} dB nu_max={p.nu_max_hz:g} Hz: "
+        f"ser={p.counts.ser:.6g} ber={p.counts.ber:.6g}" for p in result.points])
 
 
-def _cmd_doppler_sweep(args) -> int:
-    cfg = _build_config(args)
+def _cmd_doppler_sweep(cfg: ExperimentConfig, args) -> int:
     nus = _numbers("nu_max_list", args.nu_max_list) if args.nu_max_list else None
     result = experiment.run_doppler_sweep(cfg, nu_max_list=nus)
-    csv_path = Path(cfg.output_path).with_suffix(".csv")
-    _write(csv_path, experiment.render_error_rate_csv(result))
-    _maybe_write_plot_script(args, "doppler-sweep", csv_path)
-    for p in result.points:
-        print(f"{p.method} nu_max={p.nu_max_hz:g} Hz: ser={p.counts.ser:.6g}")
-    return 0
+    return _write_outputs(args, {
+        Path(cfg.output_path).with_suffix(".csv"): experiment.render_error_rate_csv(result),
+    }, [f"{p.method} nu_max={p.nu_max_hz:g} Hz: ser={p.counts.ser:.6g}"
+        for p in result.points])
 
 
-def _cmd_scaling_table(args) -> int:
-    cfg = _build_config(args)
+def _cmd_scaling_table(cfg: ExperimentConfig, args) -> int:
     sweep_m = _numbers("sweep_m", args.sweep_m, int) if args.sweep_m else None
     sweep_n = _numbers("sweep_n", args.sweep_n, int) if args.sweep_n else None
     result = experiment.run_scaling_table(cfg, sweep_m=sweep_m, sweep_n=sweep_n)
-    csv_path = Path(cfg.output_path).with_suffix(".csv")
-    _write(csv_path, experiment.render_scaling_csv(result))
-    _maybe_write_plot_script(args, "scaling-table", csv_path)
-    for r in result.rows:
-        print(f"M={r.M} N={r.N} {r.method}: {r.papr_db_at_ccdf_0p1:.3f} dB")
-    return 0
+    return _write_outputs(args, {
+        Path(cfg.output_path).with_suffix(".csv"): experiment.render_scaling_csv(result),
+    }, [f"M={r.M} N={r.N} {r.method}: {r.papr_db_at_ccdf_0p1:.3f} dB"
+        for r in result.rows])
 
 
-def _cmd_precode(args) -> int:
-    cfg = _build_config(args)
+def _cmd_precode(cfg: ExperimentConfig, args) -> int:
     text = sys.stdin.read() if args.symbols == "-" else Path(args.symbols).read_text()
     u = [complex(line.strip().replace(" ", "")) for line in text.splitlines()
          if line.strip()]
@@ -203,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_build_config(args), args)
     except (ParameterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,6 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.frames < 1:
             raise ParameterError(f"frames must be >= 1, got {self.frames}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.nu_max_hz < math.inf:
             raise ParameterError(
                 f"nu_max_hz must be finite and >= 0, got {self.nu_max_hz}")

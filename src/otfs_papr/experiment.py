@@ -19,7 +19,7 @@ methods (and, in the receiver, of its methods at every SNR).
 
 import datetime
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -347,20 +347,23 @@ def _ccdf_extra(result: CcdfResult) -> list:
         for t in CCDF_TARGETS]
 
 
-def render_ccdf_samples_csv(result: CcdfResult) -> str:
-    lines = _metadata_lines(result.config, "ccdf-samples", _ccdf_extra(result))
-    lines.append("frame_idx,papr_db")
-    lines.extend(f"{i},{_fmt(float(v))}" for i, v in enumerate(result.samples_db))
+def _csv(metadata: list, columns: str, rows) -> str:
+    """The one CSV layout: the metadata lines, the column line, then one
+    comma-joined line of _fmt values per row."""
+    lines = metadata + [columns]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def render_ccdf_samples_csv(result: CcdfResult) -> str:
+    return _csv(_metadata_lines(result.config, "ccdf-samples", _ccdf_extra(result)),
+                "frame_idx,papr_db", enumerate(result.samples_db))
 
 
 def render_ccdf_curve_csv(result: CcdfResult) -> str:
-    lines = _metadata_lines(result.config, "ccdf-curve", _ccdf_extra(result))
-    lines.append("threshold_db,ccdf")
-    lines.extend(f"{_fmt(float(t))},{_fmt(float(p))}"
-                 for t, p in zip(result.curve.thresholds_db,
-                                 result.curve.probabilities))
-    return "\n".join(lines) + "\n"
+    return _csv(_metadata_lines(result.config, "ccdf-curve", _ccdf_extra(result)),
+                "threshold_db,ccdf",
+                zip(result.curve.thresholds_db, result.curve.probabilities))
 
 
 def render_error_rate_csv(result: ErrorRateResult) -> str:
@@ -369,22 +372,16 @@ def render_error_rate_csv(result: ErrorRateResult) -> str:
              for p in result.points
              for label, count in (("skipped", p.skipped_frames),
                                   ("expander_clips", p.expander_clips)) if count]
-    lines = _metadata_lines(result.config, "error-rate", extra, result.sweep)
-    lines.append("method,snr_db,nu_max_hz,frames,symbols,symbol_errors,bit_errors,ser,ber")
-    for p in result.points:
-        c = p.counts
-        lines.append(",".join([p.method, _fmt(p.snr_db), _fmt(p.nu_max_hz),
-                               str(p.frames), str(c.symbols), str(c.symbol_errors),
-                               str(c.bit_errors), _fmt(c.ser), _fmt(c.ber)]))
-    return "\n".join(lines) + "\n"
+    return _csv(_metadata_lines(result.config, "error-rate", extra, result.sweep),
+                "method,snr_db,nu_max_hz,frames,symbols,symbol_errors,bit_errors,ser,ber",
+                [(p.method, p.snr_db, p.nu_max_hz, p.frames, p.counts.symbols,
+                  p.counts.symbol_errors, p.counts.bit_errors, p.counts.ser,
+                  p.counts.ber) for p in result.points])
 
 
 def render_scaling_csv(result: ScalingResult) -> str:
-    lines = _metadata_lines(result.config, "scaling-table", sweep=result.sweep)
-    lines.append("M,N,method,papr_db_at_ccdf_0p1")
-    lines.extend(f"{r.M},{r.N},{r.method},{_fmt(r.papr_db_at_ccdf_0p1)}"
-                 for r in result.rows)
-    return "\n".join(lines) + "\n"
+    return _csv(_metadata_lines(result.config, "scaling-table", sweep=result.sweep),
+                "M,N,method,papr_db_at_ccdf_0p1", map(astuple, result.rows))
 
 
 def csv_body(text: str) -> str:

@@ -35,8 +35,8 @@ class FrameParams:
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
             raise ParameterError(f"grid dimensions must be >= 1, got M={self.M}, N={self.N}")
-        if not self.delta_f > 0:
-            raise ParameterError(f"delta_f must be positive, got {self.delta_f}")
+        if not 0 < self.delta_f < np.inf:
+            raise ParameterError(f"delta_f must be finite and positive, got {self.delta_f}")
 
     @property
     def T(self) -> float:
@@ -80,8 +80,8 @@ class PskAlphabet:
     def __post_init__(self):
         if self.D < 2:
             raise ParameterError(f"modulation order must be >= 2, got {self.D}")
-        if not self.A > 0:
-            raise ParameterError(f"amplitude must be positive, got {self.A}")
+        if not 0 < self.A < np.inf:
+            raise ParameterError(f"amplitude must be finite and positive, got {self.A}")
 
     def symbols(self) -> np.ndarray:
         return self.A * np.exp(2j * np.pi * np.arange(self.D) / self.D)

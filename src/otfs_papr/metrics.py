@@ -31,8 +31,8 @@ def papr(s) -> PaprSample:
     s = np.asarray(s, dtype=complex)
     p = np.abs(s) ** 2
     total = p.sum()
-    if total == 0:
-        raise UndefinedPaprError("PAPR is undefined for an all-zero frame")
+    if not 0 < total < np.inf:
+        raise UndefinedPaprError(f"PAPR needs a frame of finite nonzero power, got {total}")
     value = len(s) * p.max() / total
     return PaprSample(value_linear=float(value), value_db=float(10 * np.log10(value)))
 

@@ -70,7 +70,8 @@ class TestCcdfCommand:
         assert not (tmp_path / "m.samples.csv").exists()
 
     @pytest.mark.parametrize("bad", [("--mu", "0"), ("--icf-oversample", "1"),
-                                     ("--icf-iterations", "0"), ("--modulation", "3")])
+                                     ("--icf-iterations", "0"), ("--modulation", "3"),
+                                     ("--amplitude", "inf"), ("--clip-ratio-db", "nan")])
     def test_bad_stage_parameter_fails_before_any_frame(self, tmp_path, bad):
         r = run_cli("ccdf", "--method", "none", "--frames", "2", *bad,
                     "--output", str(tmp_path / "b"))
@@ -110,6 +111,55 @@ def test_plot_script_emission(tmp_path, command):
         assert column in columns
         assert repr(column) in text
     assert repr(str(csv_path)) in text
+
+
+# subcommand: (its extra arguments, its runner on a config, {CSV suffix:
+# renderer} in the order written, the summary lines of a result)
+COMMAND_PATHS = {
+    "ccdf": (
+        ("--method", "proposed"), experiment.run_ccdf,
+        {".samples.csv": experiment.render_ccdf_samples_csv,
+         ".curve.csv": experiment.render_ccdf_curve_csv},
+        lambda r: [f"papr_db at ccdf {t}: {r.papr_at_targets[t]:.3f}" for t in (0.5, 0.1)]),
+    "error-rate": (
+        ("--method", "none,proposed,companding,icf,dft", "--snr-db-list", "10,inf"),
+        experiment.run_error_rate, {".csv": experiment.render_error_rate_csv},
+        lambda r: [f"{p.method} snr={p.snr_db:g} dB nu_max={p.nu_max_hz:g} Hz: "
+                   f"ser={p.counts.ser:.6g} ber={p.counts.ber:.6g}" for p in r.points]),
+    "doppler-sweep": (
+        ("--method", "none,dft", "--nu-max-list", "0,600"),
+        lambda cfg: experiment.run_doppler_sweep(cfg, nu_max_list=(0.0, 600.0)),
+        {".csv": experiment.render_error_rate_csv},
+        lambda r: [f"{p.method} nu_max={p.nu_max_hz:g} Hz: ser={p.counts.ser:.6g}"
+                   for p in r.points]),
+    "scaling-table": (
+        ("--method", "none,proposed", "--sweep-m", "2,4"),
+        lambda cfg: experiment.run_scaling_table(cfg, sweep_m=(2, 4)),
+        {".csv": experiment.render_scaling_csv},
+        lambda r: [f"M={row.M} N={row.N} {row.method}: {row.papr_db_at_ccdf_0p1:.3f} dB"
+                   for row in r.rows]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_PATHS))
+def test_command_writes_what_the_library_renders(tmp_path, capsys, command):
+    """Each runner subcommand writes exactly its rendered CSVs and the
+    plot script of the last one, then prints one `wrote` line per file
+    and the result's summary lines."""
+    extra, runner, renderers, summary = COMMAND_PATHS[command]
+    argv = [command, *extra, "--M", "4", "--N", "4", "--frames", "3",
+            "--profile", "identity", "--output", str(tmp_path / "p"), "--plot-script"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    cfg = cli._build_config(cli.build_parser().parse_args(argv))
+    result = runner(cfg)
+    paths = [tmp_path / f"p{suffix}" for suffix in renderers]
+    for path, render in zip(paths, renderers.values()):
+        assert experiment.csv_body(path.read_text()) == \
+            experiment.csv_body(render(result))
+    written = paths + [paths[-1].with_suffix(".plot.py")]
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+    assert printed == [f"wrote {path}" for path in written] + summary(result)
 
 
 class TestErrorRateCommand:

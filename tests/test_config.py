@@ -104,7 +104,10 @@ class TestConfigConstruction:
         dict(nu_max_hz=-300.0), dict(nu_max_hz=float("inf")),
         dict(nu_max_hz=float("nan")), dict(snr_db_list=(10.0, float("nan"))),
         dict(snr_db_list=(float("-inf"), 0.0)), dict(snr_db_list=(-4000.0,)),
-        dict(method=","),
+        dict(method=","), dict(amplitude=float("inf")), dict(mu=float("inf")),
+        dict(clip_ratio_db=float("nan")), dict(clip_ratio_db=float("-inf")),
+        dict(clip_ratio_db=-7000.0), dict(clip_ratio_db=7000.0),
+        dict(delta_f=float("inf")), dict(seed=-1),
     ])
     def test_stage_validation(self, bad):
         with pytest.raises(ParameterError):

@@ -47,6 +47,10 @@ class TestPapr:
     def test_all_zero_frame_is_undefined(self):
         with pytest.raises(UndefinedPaprError):
             papr(np.zeros(8, complex))
+        # Nor is it defined where the power is not finite (|1e200|^2 overflows).
+        for frame in ([np.inf, 1.0], [np.nan, 1.0], [1e200, 1.0]):
+            with pytest.raises(UndefinedPaprError), np.errstate(over="ignore"):
+                papr(frame)
 
 
 class TestCcdf:
