@@ -8,10 +8,16 @@ arrive as text) go through the same type coercion in
 `config_from_mapping`.  Building a config builds the stage objects the
 runners use, so a bad value fails before any frame.  Each setting has
 one default, here: the stage objects declare none, and each stage's own
-validator is the one check of its values.
+validator is the one check of its values.  The exceptions are the
+defaults of `doppler-sweep`'s own grid, `experiment.DOPPLER_SWEEP_SNR_DB`
+and `experiment.DOPPLER_SWEEP_DEFAULT_HZ`, and two checks that span
+stages: `amplitude` must keep a frame's power, at the grid's M and N, a
+finite normal float, and `clip_ratio_db` must keep it above the normal
+range's floor after `icf_iterations` clipping rounds.
 """
 
 import math
+import sys
 import tomllib
 from dataclasses import dataclass, field, fields
 
@@ -50,7 +56,7 @@ class ExperimentConfig:
         "help": "PSK order D (2, 4, ...)"})
     amplitude: float = 1.0
     method: str = field(default="none", metadata={
-        "help": "none|proposed|companding|icf|dft, comma-separable"})
+        "help": "|".join(METHODS) + ", comma-separable"})
     frames: int = 1000
     seed: int = 1
     snr_db_list: tuple = field(default=(), metadata={
@@ -105,6 +111,21 @@ class ExperimentConfig:
             dft=DftSpreadConfig(axis=self.dft_axis),
             channel_profile=profile)
         stages["alphabet"].bits_per_symbol  # raises on a non-power-of-two order
+        # A frame's power must stay a finite normal float: 2NA bounds a
+        # precoded sample and N*sqrt(M)*A a delay-axis DFT-spread one, and
+        # each ICF round scales the power by about the clip ratio squared.
+        A, tiny = self.amplitude, sys.float_info.min
+        peak = self.N * max(2, math.sqrt(self.M)) * A
+        if not (A * A >= tiny and math.isfinite(self.M * self.N * peak * peak)):
+            raise ParameterError(
+                f"amplitude must keep the power of a {self.M} x {self.N} "
+                f"frame within the normal float range, got {A}")
+        clipped = (10 ** (min(self.clip_ratio_db, 0) / 20)) ** (2 * self.icf_iterations)
+        if not A * A * clipped >= tiny:
+            raise ParameterError(
+                f"clip_ratio_db = {self.clip_ratio_db} over icf_iterations = "
+                f"{self.icf_iterations} clips a frame of amplitude {A} below "
+                f"the normal float range")
         for name, stage in stages.items():
             object.__setattr__(self, name, stage)
 

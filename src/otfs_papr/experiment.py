@@ -233,7 +233,7 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
                 if methods[i] == "dft":
                     x_hat = dft_despread(x_hat, cfg.dft, params)
                 counts[k] = counts[k] + count_errors(detect_symbols(x_hat, alphabet),
-                                                     truth, alphabet.D)
+                                                     truth, alphabet)
     return [ErrorRatePoint(method=methods[i], snr_db=snr_db, nu_max_hz=nu,
                            frames=cfg.frames - skipped[k], counts=counts[k],
                            skipped_frames=skipped[k], expander_clips=clips[k])

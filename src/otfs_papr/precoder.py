@@ -42,7 +42,7 @@ import numpy as np
 from .errors import CorruptedStateError, InstanceTooLargeError, ParameterError
 from .frame import FrameParams
 from .metrics import PaprSample, papr
-from .modem import modulate
+from .modem import fourier_matrix, modulate
 
 BRUTE_FORCE_MAX_SYMBOLS = 20
 _AMPLITUDE_TOL = 1e-9
@@ -113,7 +113,9 @@ def greedy_precode(u, params: FrameParams, cfg: GreedyConfig) -> PrecodeResult:
     """Iterative single-flip amplitude search over the {A, 2A} rings.
 
     Each pass evaluates the PAPR of all MN single-flip candidates of the
-    best vector found so far, ties broken toward the lowest flat index.
+    best vector found so far.  Among candidates whose computed PAPRs are
+    bitwise equal the lowest flat index wins; candidates that tie only
+    in exact arithmetic are ranked by rounding.
     The best candidate is committed only if strictly better; otherwise
     the search stops, as it does after cfg.max_iter passes when that is
     positive.  iterations_used counts passes, including the final
@@ -137,7 +139,7 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
         _base_amplitude(u)
     M, N, MN = params.M, params.N, params.size
     cap = np.inf if cfg.max_iter == 0 else cfg.max_iter
-    W = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
+    W = fourier_matrix(N).conj()
 
     B = len(U)
     x_star, p_out = np.empty_like(U), np.empty(B)  # filled as frames stop

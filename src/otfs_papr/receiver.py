@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelBlocks
 from .errors import EqualizerError, ParameterError
-from .frame import FrameParams, check_dense_size, gray_encode
+from .frame import FrameParams, PskAlphabet, check_dense_size, gray_encode
 
 
 @dataclass(frozen=True)
@@ -216,22 +216,15 @@ def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     return z.reshape(S, J * b)
 
 
-_POPCOUNT_BYTE = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def count_errors(detected, truth, D: int) -> ErrorCounts:
+def count_errors(detected, truth, alphabet: PskAlphabet) -> ErrorCounts:
     """Symbol and Gray-label bit errors between two index sequences."""
     detected = np.asarray(detected, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if detected.shape != truth.shape:
         raise ParameterError(
             f"length mismatch: {detected.shape} vs {truth.shape}")
-    if not 2 <= D <= 256:
-        raise ParameterError(f"modulation order out of range: {D}")
-    bits_per_symbol = max(int(D - 1).bit_length(), 1)
     diff = gray_encode(detected) ^ gray_encode(truth)
-    bit_errors = int(_POPCOUNT_BYTE[diff & 0xFF].sum())
     return ErrorCounts(symbols=detected.size,
                        symbol_errors=int(np.count_nonzero(detected != truth)),
-                       bits=detected.size * bits_per_symbol,
-                       bit_errors=bit_errors)
+                       bits=detected.size * alphabet.bits_per_symbol,
+                       bit_errors=int(np.bitwise_count(diff).sum()))

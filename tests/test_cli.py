@@ -71,7 +71,8 @@ class TestCcdfCommand:
 
     @pytest.mark.parametrize("bad", [("--mu", "0"), ("--icf-oversample", "1"),
                                      ("--icf-iterations", "0"), ("--modulation", "3"),
-                                     ("--amplitude", "inf"), ("--clip-ratio-db", "nan")])
+                                     ("--amplitude", "inf"), ("--clip-ratio-db", "nan"),
+                                     ("--amplitude", "1e-160"), ("--clip-ratio-db=-2000",)])
     def test_bad_stage_parameter_fails_before_any_frame(self, tmp_path, bad):
         r = run_cli("ccdf", "--method", "none", "--frames", "2", *bad,
                     "--output", str(tmp_path / "b"))
@@ -183,6 +184,15 @@ class TestErrorRateCommand:
         rows = [row.split(",") for row in body_of(tmp_path / "er.csv").splitlines()[1:]]
         assert [row[1] for row in rows] == ["4000", "4000", "inf", "inf"]
         assert [row[3:] for row in rows[:2]] == [row[3:] for row in rows[2:]]
+
+    def test_any_power_of_two_order_counts_bits(self, tmp_path):
+        """The bit count follows the alphabet: 512-PSK has 9 bits a symbol."""
+        r = run_cli("error-rate", "--M", "4", "--N", "4", "--frames", "3",
+                    "--modulation", "512", "--method", "none,proposed",
+                    "--snr-db-list", "10,inf", "--output", str(tmp_path / "er"))
+        assert r.returncode == 0, r.stderr
+        lines = body_of(tmp_path / "er.csv").splitlines()
+        assert len(lines) == 1 + 4
 
     def test_snr_whose_noise_overflows_is_named(self, tmp_path):
         """At -3082 dB the noise variance of a frame of power 4 overflows;

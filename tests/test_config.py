@@ -108,9 +108,32 @@ class TestConfigConstruction:
         dict(clip_ratio_db=float("nan")), dict(clip_ratio_db=float("-inf")),
         dict(clip_ratio_db=-7000.0), dict(clip_ratio_db=7000.0),
         dict(delta_f=float("inf")), dict(seed=-1),
+        dict(amplitude=1e153), dict(amplitude=2e151), dict(amplitude=1e-160),
+        dict(amplitude=1e-170), dict(clip_ratio_db=-2000.0),
+        dict(clip_ratio_db=-1050.0), dict(clip_ratio_db=-4.0, icf_iterations=2000),
     ])
     def test_stage_validation(self, bad):
         with pytest.raises(ParameterError):
+            ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("ok", [
+        dict(amplitude=1e150), dict(amplitude=1e-150), dict(clip_ratio_db=-1000.0),
+        dict(amplitude=1.3e151), dict(amplitude=1.5e-154),
+        dict(M=64, amplitude=3.2e150), dict(clip_ratio_db=-1025.5),
+    ])
+    def test_frame_power_edges_pass(self, ok):
+        ExperimentConfig(**ok)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("amplitude", dict(amplitude=1.32e151)),
+        ("amplitude", dict(amplitude=1.49e-154)),
+        ("amplitude", dict(M=64, amplitude=3.3e150)),
+        ("clip_ratio_db", dict(clip_ratio_db=-1025.6)),
+    ])
+    def test_frame_power_beyond_the_edge_names_its_key(self, key, bad):
+        """A frame's power must stay a normal float; a value just beyond
+        the edge fails naming its key."""
+        with pytest.raises(ParameterError, match=f"^{key}"):
             ExperimentConfig(**bad)
 
     def test_profile_validation(self):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from otfs_papr import (ChannelRealization, EqualizerError, ExperimentConfig,
                        FrameParams, InstanceTooLargeError, ParameterError,
-                       PathProfile, add_awgn, apply_channel, channel,
-                       channel_blocks, count_errors, dd_noise_variance,
-                       demodulate, dense_synthesis_matrix,
+                       PathProfile, PskAlphabet, add_awgn, apply_channel,
+                       channel, channel_blocks, count_errors,
+                       dd_noise_variance, demodulate, dense_synthesis_matrix,
                        effective_dd_matrix, experiment, mmse_equalize,
                        modulate, receiver, sample_channel)
 from otfs_papr.channel import ETU300_PROFILE, block_size, time_domain_matrix
 from otfs_papr.experiment import run_error_rate
-from otfs_papr.frame import DENSE_MAX_SIZE
+from otfs_papr.frame import DENSE_MAX_SIZE, symbols_to_bits
 from otfs_papr.receiver import block_mmse_equalize
 
 
@@ -473,9 +473,12 @@ class TestDenseSizeGuards:
         assert dense_synthesis_matrix(params).shape == (1024, 1024)
 
 
+QPSK = PskAlphabet(D=4)
+
+
 class TestCountErrors:
     def test_identical_sequences(self):
-        c = count_errors([0, 1, 2, 3], [0, 1, 2, 3], D=4)
+        c = count_errors([0, 1, 2, 3], [0, 1, 2, 3], QPSK)
         assert c.symbol_errors == 0 and c.bit_errors == 0
         assert c.symbols == 4 and c.bits == 8
         assert c.ser == 0.0 and c.ber == 0.0
@@ -484,27 +487,38 @@ class TestCountErrors:
         truth = np.zeros(256, dtype=int)
         detected = truth.copy()
         detected[17] = 1
-        c = count_errors(detected, truth, D=2)
+        c = count_errors(detected, truth, PskAlphabet(D=2))
         assert c.ser == pytest.approx(1 / 256)
         assert c.ber == pytest.approx(1 / 256)
 
     def test_qpsk_adjacent_symbols_differ_in_one_bit(self):
-        c = count_errors([1], [0], D=4)
+        c = count_errors([1], [0], QPSK)
         assert c.symbol_errors == 1 and c.bit_errors == 1
-        opposite = count_errors([2], [0], D=4)
+        opposite = count_errors([2], [0], QPSK)
         assert opposite.bit_errors == 2  # Gray: antipodal differs in both bits
 
     def test_accumulation(self):
-        a = count_errors([0, 1], [0, 0], D=4)
-        b = count_errors([3], [0], D=4)
+        a = count_errors([0, 1], [0, 0], QPSK)
+        b = count_errors([3], [0], QPSK)
         total = a + b
         assert total.symbols == 3 and total.symbol_errors == 2
         assert total.bits == 6
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            count_errors([0, 1], [0], D=2)
+            count_errors([0, 1], [0], PskAlphabet(D=2))
 
-    def test_order_out_of_range(self):
-        with pytest.raises(ParameterError, match="modulation order out of range"):
-            count_errors([0], [0], D=1)
+    @pytest.mark.parametrize("D", [2, 4, 512, 65536])
+    def test_bit_errors_match_the_bit_mapping(self, D):
+        """symbols_to_bits inverts the Gray bit mapping, so the bits that
+        differ between its two outputs are the bit errors."""
+        alphabet = PskAlphabet(D=D)
+        rng = np.random.default_rng(D)
+        n = 300
+        truth = rng.integers(0, D, n)
+        detected = np.where(rng.random(n) < 0.5, rng.integers(0, D, n), truth)
+        c = count_errors(detected, truth, alphabet)
+        assert c.bit_errors == np.count_nonzero(
+            symbols_to_bits(detected, alphabet) != symbols_to_bits(truth, alphabet))
+        assert c.bits == n * int(np.log2(D))
+        assert c.symbol_errors == np.count_nonzero(detected != truth)
