@@ -53,10 +53,6 @@ class PathProfile:
         if any(b < a for a, b in zip(self.delays_ns, self.delays_ns[1:])):
             raise ParameterError("delays must be ascending")
 
-    @property
-    def n_paths(self) -> int:
-        return len(self.delays_ns)
-
 
 ETU300_PROFILE = PathProfile(ETU_DELAYS_NS, ETU_POWERS_DB)
 SINGLE_PATH_PROFILE = PathProfile((0.0,), (0.0,))
@@ -114,7 +110,7 @@ def sample_channels(profile: PathProfile, nu_maxes, params: FrameParams,
     # Relative to the strongest path: no finite power overflows or all underflow.
     lin = 10.0 ** ((np.asarray(profile.powers_db) - max(profile.powers_db)) / 10.0)
     var = lin / lin.sum()
-    n = profile.n_paths
+    n = len(profile.delays_ns)
     gains = np.sqrt(var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     cos_theta = np.cos(rng.uniform(0.0, 2.0 * np.pi, n))
     taps = delay_taps(profile, params)
@@ -253,13 +249,12 @@ def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def add_noise(r, sigma2: float, w) -> np.ndarray:
-    """r plus the unit noise w (unit_noise) scaled to per-sample
-    variance sigma2; sigma2 = 0 returns a copy of r."""
+    """A new array: r plus the unit noise w (unit_noise) scaled to
+    per-sample variance sigma2.  At sigma2 = 0 the scaled noise is exact
+    zeros, so the values are r's."""
     r = np.asarray(r, dtype=complex)
     if sigma2 < 0:
         raise ParameterError(f"noise variance must be >= 0, got {sigma2}")
-    if sigma2 == 0:
-        return r.copy()
     return r + np.sqrt(sigma2 / 2.0) * w
 
 

@@ -6,17 +6,23 @@ field list by `cli._add_config_flags`.  Config files are TOML, read with
 the standard library's `tomllib`.  File values and flag values (which
 arrive as text) go through the same type coercion in
 `config_from_mapping`.  Building a config builds the stage objects the
-runners use, so a bad value fails before any frame.  Each setting has
-one default, here: the stage objects declare none, and each stage's own
-validator is the one check of its values.  The exceptions are the
-defaults of `doppler-sweep`'s own grid, `experiment.DOPPLER_SWEEP_SNR_DB`
-and `experiment.DOPPLER_SWEEP_DEFAULT_HZ`, and two checks that span
-stages: `amplitude` must keep a frame's power, at the grid's M and N, a
-finite normal float, and `clip_ratio_db` must keep it above the normal
-range's floor after `icf_iterations` clipping rounds.
+runners use, so a bad value fails before any frame.  Library callers
+that build a config directly skip that coercion, so every `int` field
+must hold an integer (a numpy integer will do, a bool or a float will
+not).  Each setting has one default, here, and each stage's own
+validator is the one check of its values.  The exceptions are two
+stage defaults that equal the config's, `FrameParams.delta_f` (15 kHz)
+and `PskAlphabet.A` (1.0), which let a grid or an alphabet be built on
+its own; the defaults of `doppler-sweep`'s own grid,
+`experiment.DOPPLER_SWEEP_SNR_DB` and
+`experiment.DOPPLER_SWEEP_DEFAULT_HZ`; and two checks that span stages:
+`amplitude` must keep a frame's power, at the grid's M and N, a finite
+normal float, and `clip_ratio_db` must keep it above the normal range's
+floor after `icf_iterations` clipping rounds.
 """
 
 import math
+import numbers
 import sys
 import tomllib
 from dataclasses import dataclass, field, fields
@@ -75,6 +81,11 @@ class ExperimentConfig:
         "flag": "--output", "help": "output path stem"})
 
     def __post_init__(self):
+        for f in fields(self):  # library callers skip config_from_mapping's coercion
+            value = getattr(self, f.name)
+            if f.type is int and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+                raise ParameterError(f"{f.name!r} expects an integer, got {value!r}")
         if self.frames < 1:
             raise ParameterError(f"frames must be >= 1, got {self.frames}")
         if self.seed < 0:

@@ -29,7 +29,7 @@ from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
 from .channel import (add_noise, apply_channel, calibrate_noise,
                       channel_blocks, delay_taps, identity_channel,
                       sample_channels, unit_noise)
-from .config import ExperimentConfig, config_summary
+from .config import METHODS, ExperimentConfig, config_summary
 from .errors import ParameterError
 from .frame import detect_symbols, map_bits_to_symbols
 from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
@@ -96,26 +96,22 @@ class TransmitFrame:
 
 def transmit(u, method: str, cfg: ExperimentConfig,
              precoded: PrecodeResult | None) -> TransmitFrame:
-    """Apply one method's transmit path to an information vector.
-
-    `precoded` is u's greedy search result, which "proposed" modulates;
-    the other methods ignore it.
+    """One method's transmit path: modulate u, or `precoded.x_star` (u's
+    greedy search result) for "proposed" or u spread for "dft", then
+    compand (with its peak reference) for "companding" or clip for "icf".
     """
+    if method not in METHODS:
+        raise ParameterError(f"unknown method {method!r}")
     params = cfg.params
-    if method == "none":
-        return TransmitFrame(s=modulate(u, params))
-    if method == "proposed":
-        return TransmitFrame(s=modulate(precoded.x_star, params))
+    x = (precoded.x_star if method == "proposed"
+         else dft_spread(u, cfg.dft, params) if method == "dft" else u)
+    s = modulate(x, params)
     if method == "companding":
-        s0 = modulate(u, params)
-        V = float(np.abs(s0).max())
-        return TransmitFrame(s=mu_compand(s0, cfg.companding, V), peak_reference=V)
+        V = float(np.abs(s).max())
+        return TransmitFrame(s=mu_compand(s, cfg.companding, V), peak_reference=V)
     if method == "icf":
-        return TransmitFrame(s=icf(modulate(u, params), cfg.icf, params))
-    if method == "dft":
-        spread = dft_spread(u, cfg.dft, params)
-        return TransmitFrame(s=modulate(spread, params))
-    raise ParameterError(f"unknown method {method!r}")
+        s = icf(s, cfg.icf, params)
+    return TransmitFrame(s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def run_scaling_table(cfg: ExperimentConfig, sweep_m=None, sweep_n=None) -> Scal
     if len(values) == 0:
         raise ParameterError(f"sweep_{key.lower()} must be non-empty for scaling-table runs")
     # Every grid size is validated before the first frame runs.
-    sized_cfgs = [replace(cfg, **{key: int(value)}) for value in values]
+    sized_cfgs = [replace(cfg, **{key: value}) for value in values]
     rows = []
     for grid_idx, sized in enumerate(sized_cfgs):
         samples = _papr_samples(sized, cfg.methods, grid_idx)

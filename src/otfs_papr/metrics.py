@@ -43,12 +43,12 @@ def default_thresholds_db() -> np.ndarray:
     return np.linspace(0.0, CCDF_THRESHOLD_MAX_DB, n + 1)
 
 
-def ccdf(samples_db, thresholds_db=None) -> CcdfCurve:
-    """Empirical exceedance probability of the samples over a threshold grid."""
+def ccdf(samples_db) -> CcdfCurve:
+    """Empirical exceedance probability of the samples over default_thresholds_db."""
     samples = np.asarray(samples_db, dtype=float)
     if samples.size == 0:
         raise ParameterError("CCDF of an empty sample set")
-    th = default_thresholds_db() if thresholds_db is None else np.asarray(thresholds_db, float)
+    th = default_thresholds_db()
     probs = (samples[None, :] > th[:, None]).mean(axis=1)
     return CcdfCurve(thresholds_db=th, probabilities=probs)
 

@@ -154,10 +154,9 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
     total = pw.reshape(B, MN).sum(axis=1)
     p_star = MN * pw.reshape(B, MN).max(axis=1) / total
     frame = np.arange(B)  # the frame of each state row
-    iterations = np.zeros(B, dtype=int)
     flips: list[list[int]] = [[] for _ in U]
 
-    passes = 0
+    passes = 0  # read by the cap; a frame flips once a pass but its last
     while len(frame):
         passes += 1
         col_max, col_sum = pw.max(axis=1, keepdims=True), pw.sum(axis=1, keepdims=True)
@@ -195,7 +194,6 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
         if passes >= cap:  # the cap stops every frame still searching
             done[:] = True
         if done.any():  # drop the stopped frames from the state
-            iterations[frame[done]] = passes
             x_star[frame[done]] = xg[done].reshape(-1, MN)
             p_out[frame[done]] = p_star[done]
             keep = ~done
@@ -203,9 +201,9 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
                 a[keep] for a in (frame, xg, delta, pw, cand_max, cand_sum,
                                   total, p_star))
 
-    return [PrecodeResult(x_star=x, iterations_used=int(i), flips=f,
+    return [PrecodeResult(x_star=x, iterations_used=min(len(f) + 1, cap), flips=f,
                           papr_star=PaprSample(float(p), float(10 * np.log10(p))))
-            for x, p, i, f in zip(x_star, p_out, iterations, flips)]
+            for x, p, f in zip(x_star, p_out, flips)]
 
 
 def brute_force_precode(u, params: FrameParams) -> tuple[np.ndarray, PaprSample]:

@@ -26,6 +26,9 @@ from .frame import FrameParams, PskAlphabet, check_dense_size, gray_encode
 
 @dataclass(frozen=True)
 class ErrorCounts:
+    """Error counts; without symbols (or bits) the rate is NaN, not 0,
+    so a point whose every frame was skipped does not read error-free."""
+
     symbols: int
     symbol_errors: int
     bits: int
@@ -33,11 +36,11 @@ class ErrorCounts:
 
     @property
     def ser(self) -> float:
-        return self.symbol_errors / self.symbols if self.symbols else 0.0
+        return self.symbol_errors / self.symbols if self.symbols else math.nan
 
     @property
     def ber(self) -> float:
-        return self.bit_errors / self.bits if self.bits else 0.0
+        return self.bit_errors / self.bits if self.bits else math.nan
 
     def __add__(self, other: "ErrorCounts") -> "ErrorCounts":
         return ErrorCounts(self.symbols + other.symbols,

@@ -20,7 +20,7 @@ def fixed_channel(gains, taps, dopplers):
 
 class TestPathProfile:
     def test_etu_profile_shape(self):
-        assert ETU300_PROFILE.n_paths == 9
+        assert len(ETU300_PROFILE.delays_ns) == 9
         assert ETU300_PROFILE.delays_ns[-1] == 5000.0
         assert named_profile("etu300") is ETU300_PROFILE
 

@@ -111,10 +111,22 @@ class TestConfigConstruction:
         dict(amplitude=1e153), dict(amplitude=2e151), dict(amplitude=1e-160),
         dict(amplitude=1e-170), dict(clip_ratio_db=-2000.0),
         dict(clip_ratio_db=-1050.0), dict(clip_ratio_db=-4.0, icf_iterations=2000),
+        dict(M=2.5), dict(frames=1.5), dict(seed=2.0), dict(modulation=4.0),
+        dict(max_iter=0.5), dict(M=True),
     ])
     def test_stage_validation(self, bad):
         with pytest.raises(ParameterError):
             ExperimentConfig(**bad)
+
+    def test_integer_fields_name_their_key(self):
+        """Library callers skip config_from_mapping's coercion: every int
+        field refuses a float and a bool, naming the key."""
+        keys = [f.name for f in fields(ExperimentConfig) if f.type is int]
+        assert len(keys) == 8
+        for key in keys:
+            for bad in (2.0, 2.5, True):
+                with pytest.raises(ParameterError, match=f"^'{key}' expects an integer"):
+                    ExperimentConfig(**{key: bad})
 
     @pytest.mark.parametrize("ok", [
         dict(amplitude=1e150), dict(amplitude=1e-150), dict(clip_ratio_db=-1000.0),

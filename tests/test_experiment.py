@@ -138,6 +138,11 @@ class TestRunErrorRate:
         skipped = [line for line in render_error_rate_csv(result).splitlines()
                    if line.startswith("# skipped:")]
         assert skipped == ["# skipped: method=companding snr_db=10 nu_max_hz=300 count=3"]
+        # No symbols were counted: the rates are NaN, not an error-free 0.
+        assert all(np.isnan(p.counts.ser) and np.isnan(p.counts.ber) for p in companding)
+        rows = csv_body(render_error_rate_csv(result)).splitlines()
+        assert [r for r in rows if r.startswith("companding,")] == [
+            "companding,10,300,0,0,0,0,nan,nan"]
 
 
 class TestRunDopplerSweep:
@@ -220,9 +225,16 @@ class TestRunScalingTable:
         frames = experiment._frames
         monkeypatch.setattr(experiment, "_frames",
                             lambda *a: calls.append(a) or frames(*a))
-        with pytest.raises(ParameterError):
-            run_scaling_table(ExperimentConfig(**SMALL), sweep_m=[4, 0])
+        for sweep_m in ([4, 0], [4, 2.5]):
+            with pytest.raises(ParameterError):
+                run_scaling_table(ExperimentConfig(**SMALL), sweep_m=sweep_m)
         assert calls == []
+
+    def test_numpy_integer_grid_sizes_run(self):
+        cfg = ExperimentConfig(M=4, N=4, frames=5, seed=5)
+        result = run_scaling_table(cfg, sweep_n=np.array([2, 4], dtype=np.int64))
+        assert result.rows == run_scaling_table(cfg, sweep_n=[2, 4]).rows
+        assert "# sweep: N=[2,4]" in render_scaling_csv(result)
 
 
 class TestFrameChunks:

@@ -55,13 +55,15 @@ class TestPapr:
 
 class TestCcdf:
     def test_direct_count(self):
-        curve = ccdf([0.0, 3.01, 6.02], thresholds_db=[1.5])
-        assert curve.probabilities[0] == pytest.approx(2 / 3)
+        curve = ccdf([0.0, 3.01, 6.02])
+        assert curve.thresholds_db[15] == pytest.approx(1.5)
+        assert curve.probabilities[15] == pytest.approx(2 / 3)
 
     def test_threshold_extremes(self):
-        curve = ccdf([2.0, 3.0, 4.0], thresholds_db=[1.0, 5.0])
-        assert curve.probabilities[0] == 1.0
-        assert curve.probabilities[1] == 0.0
+        curve = ccdf([2.0, 3.0, 4.0])
+        assert curve.thresholds_db[[10, 50]] == pytest.approx([1.0, 5.0])
+        assert curve.probabilities[10] == 1.0
+        assert curve.probabilities[50] == 0.0
 
     def test_probabilities_non_increasing_on_default_grid(self):
         rng = np.random.default_rng(5)
