@@ -9,8 +9,9 @@ arrive as text) go through the same type coercion in
 runners use, so a bad value fails before any frame.  Library callers
 that build a config directly skip that coercion, so every `int` field
 must hold an integer (a numpy integer will do, a bool or a float will
-not).  Each setting has one default, here, and each stage's own
-validator is the one check of its values.  The exceptions are two
+not) and every `float` field a real number (an integer or a numpy float
+will do, a bool or a string will not).  Each setting has one default,
+here, and each stage's own validator is the one check of its values.  The exceptions are two
 stage defaults that equal the config's, `FrameParams.delta_f` (15 kHz)
 and `PskAlphabet.A` (1.0), which let a grid or an alphabet be built on
 its own; the defaults of `doppler-sweep`'s own grid,
@@ -34,6 +35,10 @@ from .frame import FrameParams, PskAlphabet
 from .precoder import GreedyConfig
 
 METHODS = ("none", "proposed", "companding", "icf", "dft")
+# What a library caller may pass in an int or a float field; a bool is
+# neither.
+_NUMBER_KINDS = {int: (numbers.Integral, "an integer"),
+                 float: (numbers.Real, "a real number")}
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):  # library callers skip config_from_mapping's coercion
-            value = getattr(self, f.name)
-            if f.type is int and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
-                raise ParameterError(f"{f.name!r} expects an integer, got {value!r}")
+            if f.type in _NUMBER_KINDS:
+                value, (kind, what) = getattr(self, f.name), _NUMBER_KINDS[f.type]
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ParameterError(f"{f.name!r} expects {what}, got {value!r}")
         if self.frames < 1:
             raise ParameterError(f"frames must be >= 1, got {self.frames}")
         if self.seed < 0:

@@ -45,8 +45,10 @@ DOPPLER_SWEEP_SNR_DB = 18.0
 # Symbols per frame chunk of the runners: each chunk of
 # max(1, FRAME_CHUNK_SYMBOLS // MN) frames goes through the greedy
 # precoder in one lockstep call.  Larger chunks make the lockstep passes
-# cheaper per frame but raise peak memory.
-FRAME_CHUNK_SYMBOLS = 4096
+# cheaper per frame but raise peak memory: the search holds 25 bytes a
+# symbol and allocates about 60 at its peak, about 1 MB for a chunk of
+# 16384 symbols.  No result depends on the chunk.
+FRAME_CHUNK_SYMBOLS = 16384
 
 
 def frame_rng(seed: int, *path: int) -> np.random.Generator:
@@ -74,15 +76,15 @@ def _frames(cfg: ExperimentConfig, methods, *point: int):
     """
     chunk = max(1, FRAME_CHUNK_SYMBOLS // cfg.params.size)
     for start in range(0, cfg.frames, chunk):
-        drawn = []
-        for f in range(start, min(start + chunk, cfg.frames)):
-            rng = frame_rng(cfg.seed, *point, f)
-            drawn.append((rng, draw_info_vector(cfg, rng)[1]))
-        precoded = [None] * len(drawn)
+        rngs = [frame_rng(cfg.seed, *point, f)
+                for f in range(start, min(start + chunk, cfg.frames))]
+        U = np.array([draw_info_vector(cfg, rng)[1] for rng in rngs])
+        precoded = [None] * len(rngs)
         if "proposed" in methods:
-            precoded = greedy_precode_batch([u for _, u in drawn], cfg.params,
-                                            cfg.greedy)
-        for (rng, u), result in zip(drawn, precoded):
+            precoded = greedy_precode_batch(U, cfg.params, cfg.greedy)
+        # Each frame's own copy: a frame the caller still holds does not
+        # keep its whole chunk alive while the next chunk is searched.
+        for rng, u, result in zip(rngs, map(np.copy, U), precoded):
             yield rng, u, [transmit(u, method, cfg, result) for method in methods]
 
 

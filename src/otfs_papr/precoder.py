@@ -30,8 +30,18 @@ grid does not confirm the candidate's value, so the flip is undone) or
 the pass cap.  Stopped frames are dropped from the state, and the frames
 still searching have all run the same number of passes.
 
-The initial state is built frame by frame, so no (B, N, N, M)
-temporary exists; the runners choose B so that a batch holds about a
+A frame's vector is kept as a ring mask over a read-only view of the
+caller's u: x[t] is u[t] + u[t] where the mask is set (ring 2A) and u[t]
+where it is not, so a flip toggles one bool and adds +u[t] or -u[t].
+With the three float grids of the column state that is 25 bytes a
+symbol.  A pass builds its candidate PAPRs in place (one float grid and
+its denominator) and drops them before the column refresh, whose
+largest temporary is the N x N candidate power of each committing
+column; a frame's x* is built when it stops, and stopped frames are
+dropped from the state one grid at a time.  The initial state is built
+frame by frame, so no (B, N, N, M) temporary exists.  The kernel's peak
+allocation above its input stays under 100 bytes a symbol (about 60 at
+16x16 with B = 64); the runners choose B so that a batch holds about a
 fixed number of symbols.
 """
 
@@ -105,7 +115,13 @@ def _column_stats(x_cols, delta_cols, W):
     belong to different frames: each is handled on its own.
     """
     s = np.fft.fft(x_cols, axis=0)
-    cpw = np.abs(s[:, None, :] + delta_cols[None, :, :] * W[:, :, None]) ** 2
+    # Built in place from one (N, N, L) copy: numpy gives each broadcast
+    # operand of a large call a buffer, so delta * W would take two.
+    cpw = np.repeat(delta_cols[None, :, :], len(W), axis=0)
+    cpw *= W[:, :, None]
+    cpw += s[:, None, :]
+    cpw = np.abs(cpw)
+    cpw **= 2
     return np.abs(s) ** 2, cpw.max(axis=0), cpw.sum(axis=0)
 
 
@@ -142,18 +158,20 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
     W = fourier_matrix(N).conj()
 
     B = len(U)
-    x_star, p_out = np.empty_like(U), np.empty(B)  # filled as frames stop
-    xg = U.reshape(B, N, M).copy()  # xg[b, k, l] is x[k*M + l] of state row b
-    delta = xg.copy()  # the change a flip makes: +u on ring A, -u on ring 2A
+    x_star, p_out = [None] * B, np.empty(B)  # filled as frames stop
+    u = U.reshape(B, N, M)  # u[f, k, l] is u[k*M + l] of frame f
+    frame = np.arange(B)  # the frame of each state row
+    # ring[b, k, l] is set where state row b holds x[k*M + l] = u + u
+    # (ring 2A) of its frame, frame[b], rather than u (ring A).
+    ring = np.zeros((B, N, M), dtype=bool)
     # pw[b, n, l] is the power of time sample (n, l) of row b, and
     # cand_max/cand_sum[b, k, l] the max/sum of column l's power after the
     # flip of x[k, l].
     pw, cand_max, cand_sum = (np.empty((B, N, M)) for _ in range(3))
     for b in range(B):  # frame by frame: no (B, N, N, M) temporary
-        pw[b], cand_max[b], cand_sum[b] = _column_stats(xg[b], delta[b], W)
+        pw[b], cand_max[b], cand_sum[b] = _column_stats(u[b], u[b], W)
     total = pw.reshape(B, MN).sum(axis=1)
     p_star = MN * pw.reshape(B, MN).max(axis=1) / total
-    frame = np.arange(B)  # the frame of each state row
     flips: list[list[int]] = [[] for _ in U]
 
     passes = 0  # read by the cap; a frame flips once a pass but its last
@@ -164,28 +182,29 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
         if M > 1:
             top2 = np.partition(col_max, M - 2, axis=2)[..., M - 2:]
             other_max = np.where(col_max == top2[..., 1:], top2[..., :1], top2[..., 1:])
-        p_cand = (MN * np.maximum(cand_max, other_max)
-                  / (total[:, None, None] - col_sum + cand_sum))
+        p_cand = np.maximum(cand_max, other_max)  # in place from here on
+        p_cand *= MN
+        p_cand /= total[:, None, None] - col_sum + cand_sum
         p_cand = p_cand.reshape(-1, MN)
         t = p_cand.argmin(axis=1)  # first minimum == lowest flat index
         done = ~(p_cand[np.arange(len(frame)), t] < p_star)
+        del p_cand
         c = np.flatnonzero(~done)  # the rows that commit their best flip
         tc = t[c]
         k, l = np.divmod(tc, M)
-        d = delta[c, k, l]
-        xg[c, k, l] += d
-        delta[c, k, l] = -d
-        stats = _column_stats(xg[c, :, l].T, delta[c, :, l].T, W)
+        ring[c, k, l] ^= True
+        uc, rc = u[frame[c], :, l], ring[c, :, l]
+        stats = _column_stats(np.where(rc, uc + uc, uc).T, np.where(rc, -uc, uc).T, W)
         pw[c, :, l], cand_max[c, :, l], cand_sum[c, :, l] = (a.T for a in stats)
-        grid = pw[c].reshape(-1, MN)
-        total[c] = grid.sum(axis=1)
-        p_new = MN * grid.max(axis=1) / total[c]
+        # Every row is reduced, each on its own: no copy of the committing rows.
+        total[c] = pw.reshape(-1, MN).sum(axis=1)[c]
+        p_new = MN * pw.reshape(-1, MN).max(axis=1)[c] / total[c]
         tie = ~(p_new < p_star[c])
         if tie.any():
             # The candidate value beat p_star but the refreshed grid does
             # not: an ulp-level tie.  Undo and stop so the committed PAPR
             # sequence stays strictly decreasing.
-            xg[c[tie], k[tie], l[tie]] += delta[c[tie], k[tie], l[tie]]
+            ring[c[tie], k[tie], l[tie]] ^= True
             done[c[tie]] = True
             c, tc, p_new = c[~tie], tc[~tie], p_new[~tie]
         p_star[c] = p_new
@@ -193,13 +212,15 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
             flips[f].append(flip)
         if passes >= cap:  # the cap stops every frame still searching
             done[:] = True
-        if done.any():  # drop the stopped frames from the state
-            x_star[frame[done]] = xg[done].reshape(-1, MN)
+        if done.any():  # x* of the stopped frames, then drop their state
+            for f, r in zip(frame[done].tolist(), ring[done]):
+                x_star[f] = np.where(r, u[f] + u[f], u[f]).reshape(MN)
             p_out[frame[done]] = p_star[done]
-            keep = ~done
-            frame, xg, delta, pw, cand_max, cand_sum, total, p_star = (
-                a[keep] for a in (frame, xg, delta, pw, cand_max, cand_sum,
-                                  total, p_star))
+            keep = ~done  # one grid at a time: never two copies of the state
+            frame, ring, total, p_star = frame[keep], ring[keep], total[keep], p_star[keep]
+            pw = pw[keep]
+            cand_max = cand_max[keep]
+            cand_sum = cand_sum[keep]
 
     return [PrecodeResult(x_star=x, iterations_used=min(len(f) + 1, cap), flips=f,
                           papr_star=PaprSample(float(p), float(10 * np.log10(p))))

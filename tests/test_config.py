@@ -2,6 +2,7 @@
 
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
 from otfs_papr import (ETU300_PROFILE, CompandingConfig, DftSpreadConfig,
@@ -112,7 +113,7 @@ class TestConfigConstruction:
         dict(amplitude=1e-170), dict(clip_ratio_db=-2000.0),
         dict(clip_ratio_db=-1050.0), dict(clip_ratio_db=-4.0, icf_iterations=2000),
         dict(M=2.5), dict(frames=1.5), dict(seed=2.0), dict(modulation=4.0),
-        dict(max_iter=0.5), dict(M=True),
+        dict(max_iter=0.5), dict(M=True), dict(delta_f=True), dict(amplitude="1.0"),
     ])
     def test_stage_validation(self, bad):
         with pytest.raises(ParameterError):
@@ -127,6 +128,18 @@ class TestConfigConstruction:
             for bad in (2.0, 2.5, True):
                 with pytest.raises(ParameterError, match=f"^'{key}' expects an integer"):
                     ExperimentConfig(**{key: bad})
+
+    def test_float_fields_name_their_key(self):
+        """Every float field refuses a bool, a string and a complex number,
+        naming the key, and takes an integer or a numpy float."""
+        keys = [f.name for f in fields(ExperimentConfig) if f.type is float]
+        assert keys == ["delta_f", "amplitude", "nu_max_hz", "mu", "clip_ratio_db"]
+        for key in keys:
+            for bad in (True, False, np.True_, "1.0", 1 + 0j, None):
+                with pytest.raises(ParameterError, match=f"^'{key}' expects a real number"):
+                    ExperimentConfig(**{key: bad})
+            for ok in (3, np.float32(2.5), np.int64(2)):
+                assert getattr(ExperimentConfig(**{key: ok}), key) == ok
 
     @pytest.mark.parametrize("ok", [
         dict(amplitude=1e150), dict(amplitude=1e-150), dict(clip_ratio_db=-1000.0),

@@ -282,3 +282,13 @@ class TestFrameChunks:
         assert [run() for run in runs] == chunked
         assert chunk_sizes == [1] * 14 * 3
 
+
+    def test_each_frame_owns_its_information_vector(self, chunk_sizes):
+        """A frame the caller keeps is its own array, not a row of its
+        chunk, so it does not keep the chunk alive."""
+        cfg = ExperimentConfig(M=4, N=4, frames=7, seed=23, method="proposed")
+        frames = list(experiment._frames(cfg, cfg.methods))
+        assert chunk_sizes == [6, 1]
+        for f, (_, u, _) in enumerate(frames):
+            assert u.flags.owndata
+            assert np.array_equal(u, draw_info_vector(cfg, frame_rng(cfg.seed, f))[1])

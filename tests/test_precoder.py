@@ -1,6 +1,8 @@
 """Greedy amplitude precoder against hand traces, the exhaustive oracle,
 and a naive full-recomputation reference implementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -303,6 +305,45 @@ def test_batch_results_do_not_depend_on_batch_membership(M, N, D, max_iter,
         assert r.iterations_used == alone.iterations_used
         assert r.flips == alone.flips
         assert r.papr_star == alone.papr_star
+
+
+@pytest.mark.parametrize("M, N, batch", [(16, 16, 64), (64, 16, 16)])
+@pytest.mark.parametrize("max_iter", [0, 3])
+def test_runner_chunks_give_every_frame_its_lone_result(M, N, batch, max_iter):
+    """The runners' chunks of 16384 symbols: 64 frames at 16x16 and 16 at
+    64x16, searched in lockstep from a read-only view of U."""
+    p, cfg = FrameParams(M=M, N=N), GreedyConfig(max_iter=max_iter)
+    rng = np.random.default_rng(M + max_iter)
+    U = np.exp(2j * np.pi * rng.integers(0, 4, (batch, p.size)) / 4)
+    before = U.copy()
+    results = greedy_precode_batch(U, p, cfg)
+    assert U.tobytes() == before.tobytes()
+    for u, r in zip(U, results):
+        alone = greedy_precode(u, p, cfg)
+        assert r.x_star.tobytes() == alone.x_star.tobytes()
+        assert r.flips == alone.flips
+        assert r.papr_star == alone.papr_star
+        assert r.iterations_used == alone.iterations_used
+    if max_iter:
+        assert {r.iterations_used for r in results} == {3}
+
+
+@pytest.mark.parametrize("M, N, batch", [(16, 16, 64), (64, 16, 16)])
+def test_batch_peak_allocation_stays_under_100_bytes_a_symbol(M, N, batch):
+    """The search state is a ring mask plus three float grids (25 bytes a
+    symbol), and a pass's temporaries are built in place, so the kernel's
+    peak allocation above its input stays under 100 bytes a symbol."""
+    p = FrameParams(M=M, N=N)
+    rng = np.random.default_rng(5)
+    U = np.exp(2j * np.pi * rng.integers(0, 4, (batch, p.size)) / 4)
+    greedy_precode_batch(U[:1], p, GreedyConfig(max_iter=1))  # warm up numpy
+    tracemalloc.start()
+    try:
+        greedy_precode_batch(U, p, GreedyConfig(max_iter=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * U.size
 
 
 # M = 1 QPSK frames whose last pass commits a candidate that the refreshed
