@@ -31,10 +31,10 @@ from .channel import (add_noise, apply_channel, calibrate_noise,
                       sample_channels, unit_noise)
 from .config import METHODS, ExperimentConfig, config_summary
 from .errors import ParameterError
-from .frame import detect_symbols, map_bits_to_symbols
+from .frame import PskAlphabet, detect_symbols, map_bits_to_symbols
 from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
 from .modem import demodulate, modulate
-from .precoder import PrecodeResult, greedy_precode_batch
+from .precoder import greedy_precode_batch
 from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
                        dd_noise_variance)
 
@@ -45,9 +45,9 @@ DOPPLER_SWEEP_SNR_DB = 18.0
 # Symbols per frame chunk of the runners: each chunk of
 # max(1, FRAME_CHUNK_SYMBOLS // MN) frames goes through the greedy
 # precoder in one lockstep call.  Larger chunks make the lockstep passes
-# cheaper per frame but raise peak memory: the search holds 25 bytes a
-# symbol and allocates about 60 at its peak, about 1 MB for a chunk of
-# 16384 symbols.  No result depends on the chunk.
+# cheaper per frame but raise peak memory: the search holds a ring mask
+# and two float grids, 17 bytes a symbol, and allocates about 51 bytes a
+# symbol at its peak, 0.8 MB a chunk.  No result depends on the chunk.
 FRAME_CHUNK_SYMBOLS = 16384
 
 
@@ -58,9 +58,9 @@ def frame_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def draw_info_vector(cfg: ExperimentConfig, rng: np.random.Generator):
-    """Random information bits and their mapped symbol vector."""
+    """Random information bits and their symbols on the unit ring."""
     bits = rng.integers(0, 2, cfg.params.size * cfg.alphabet.bits_per_symbol)
-    return bits, map_bits_to_symbols(bits, cfg.alphabet, cfg.params)
+    return bits, map_bits_to_symbols(bits, PskAlphabet(cfg.modulation), cfg.params)
 
 
 def _frames(cfg: ExperimentConfig, methods, *point: int):
@@ -69,23 +69,25 @@ def _frames(cfg: ExperimentConfig, methods, *point: int):
     from frame_rng(seed, *point, f); the caller finishes the frame before
     the next.
 
-    Frames are drawn in chunks of about FRAME_CHUNK_SYMBOLS symbols, and
-    if `methods` include "proposed" each chunk is precoded in one
-    lockstep greedy_precode_batch call.  Transmitting draws nothing from
-    the substream, so the caller's draws follow the information vector's.
+    Frames are drawn in chunks of about FRAME_CHUNK_SYMBOLS symbols; with
+    "proposed" each chunk is precoded on the unit ring in one lockstep
+    greedy_precode_batch call and x* is scaled by A, so no flip depends
+    on A.  Transmitting draws nothing from the substream, so the caller's
+    draws follow the information vector's (the symbols times A).
     """
-    chunk = max(1, FRAME_CHUNK_SYMBOLS // cfg.params.size)
+    A, chunk = cfg.amplitude, max(1, FRAME_CHUNK_SYMBOLS // cfg.params.size)
     for start in range(0, cfg.frames, chunk):
         rngs = [frame_rng(cfg.seed, *point, f)
                 for f in range(start, min(start + chunk, cfg.frames))]
-        U = np.array([draw_info_vector(cfg, rng)[1] for rng in rngs])
-        precoded = [None] * len(rngs)
-        if "proposed" in methods:
-            precoded = greedy_precode_batch(U, cfg.params, cfg.greedy)
-        # Each frame's own copy: a frame the caller still holds does not
-        # keep its whole chunk alive while the next chunk is searched.
-        for rng, u, result in zip(rngs, map(np.copy, U), precoded):
-            yield rng, u, [transmit(u, method, cfg, result) for method in methods]
+        E = np.array([draw_info_vector(cfg, rng)[1] for rng in rngs])
+        x_stars = itertools.repeat(None)
+        if "proposed" in methods:  # scaled frame by frame, as the frames go out
+            x_stars = (A * r.x_star
+                       for r in greedy_precode_batch(E, cfg.params, cfg.greedy))
+        # Each frame's own u: a frame the caller still holds does not keep
+        # its whole chunk alive while the next chunk is searched.
+        for rng, u, x_star in zip(rngs, (A * e for e in E), x_stars):
+            yield rng, u, [transmit(u, method, cfg, x_star) for method in methods]
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,15 @@ class TransmitFrame:
 
 
 def transmit(u, method: str, cfg: ExperimentConfig,
-             precoded: PrecodeResult | None) -> TransmitFrame:
-    """One method's transmit path: modulate u, or `precoded.x_star` (u's
-    greedy search result) for "proposed" or u spread for "dft", then
-    compand (with its peak reference) for "companding" or clip for "icf".
+             x_star: np.ndarray | None) -> TransmitFrame:
+    """One method's transmit path: modulate u, or x_star (u's greedy
+    search result) for "proposed" or u spread for "dft", then compand
+    (with its peak reference) for "companding" or clip for "icf".
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
     params = cfg.params
-    x = (precoded.x_star if method == "proposed"
+    x = (x_star if method == "proposed"
          else dft_spread(u, cfg.dft, params) if method == "dft" else u)
     s = modulate(x, params)
     if method == "companding":

@@ -9,14 +9,17 @@ single flip improves (or when a positive pass cap is hit).
 
 The search keeps one state per delay column l: the power of column l
 of the time frame and, for each candidate flip in that column, the max
-and sum of the column's power after the flip.  A flip at flat index
-t = k*M + l changes only column l, by delta * exp(-2j*pi*n*k/N), so one
-pass reads all MN candidate PAPRs off this state in O(MN), and each
-commit costs one N-point column FFT plus an N x N candidate refresh of
-column l.  An N-point FFT of a column equals that column of the full
-transform bit for bit, so the committed PAPR, read off the refreshed
-power grid, is exactly papr(modulate(x_star)); it is returned as
-papr_star without transforming the frame again.
+of the column's power after the flip.  With d symbols on ring 2A the
+frame's energy is exactly N*A^2*(MN + 3d), so a flip is ranked by its
+frame peak over the integer MN + 3(d +- 1), with no energy summed.  A
+flip at flat index t = k*M + l changes only column l, by
+delta * exp(-2j*pi*n*k/N), so one pass reads all MN candidate values off
+this state in O(MN), and each commit costs one N-point column FFT plus
+an N x N candidate refresh of column l.  An N-point FFT of a column
+equals that column of the full transform bit for bit, so the committed
+PAPR, read off the refreshed power grid, is exactly
+papr(modulate(x_star)); it is returned as papr_star without transforming
+the frame again.
 
 One kernel, greedy_precode_batch, runs a batch of B frames in lockstep;
 greedy_precode is that kernel on a batch of one.  The state is stacked
@@ -32,17 +35,13 @@ still searching have all run the same number of passes.
 
 A frame's vector is kept as a ring mask over a read-only view of the
 caller's u: x[t] is u[t] + u[t] where the mask is set (ring 2A) and u[t]
-where it is not, so a flip toggles one bool and adds +u[t] or -u[t].
-With the three float grids of the column state that is 25 bytes a
-symbol.  A pass builds its candidate PAPRs in place (one float grid and
-its denominator) and drops them before the column refresh, whose
-largest temporary is the N x N candidate power of each committing
-column; a frame's x* is built when it stops, and stopped frames are
-dropped from the state one grid at a time.  The initial state is built
-frame by frame, so no (B, N, N, M) temporary exists.  The kernel's peak
-allocation above its input stays under 100 bytes a symbol (about 60 at
-16x16 with B = 64); the runners choose B so that a batch holds about a
-fixed number of symbols.
+where it is not.  With the two float grids of the column state that is
+17 bytes a symbol.  A pass builds its temporaries in place and drops them
+before the column refresh, a frame's x* is built when it stops, stopped
+frames are dropped one grid at a time and the initial state is built
+frame by frame, so the kernel's peak allocation above its input stays
+under 100 bytes a symbol (about 51 at 16x16 with B = 64); the runners
+choose B so that a batch holds about a fixed number of symbols.
 """
 
 from dataclasses import dataclass, field
@@ -108,7 +107,7 @@ def candidate_flip(x, t: int, A: float) -> np.ndarray:
 
 def _column_stats(x_cols, delta_cols, W):
     """Power of the transformed delay columns x_cols (N, L), and per
-    candidate flip (k, l) the max and sum of column l's power after it.
+    candidate flip (k, l) the max of column l's power after it.
 
     Flipping x[k, l] adds delta[k, l] * W[:, k] to the transformed
     column l and leaves every other column unchanged.  The L columns may
@@ -122,21 +121,22 @@ def _column_stats(x_cols, delta_cols, W):
     cpw += s[:, None, :]
     cpw = np.abs(cpw)
     cpw **= 2
-    return np.abs(s) ** 2, cpw.max(axis=0), cpw.sum(axis=0)
+    return np.abs(s) ** 2, cpw.max(axis=0)
 
 
 def greedy_precode(u, params: FrameParams, cfg: GreedyConfig) -> PrecodeResult:
     """Iterative single-flip amplitude search over the {A, 2A} rings.
 
-    Each pass evaluates the PAPR of all MN single-flip candidates of the
-    best vector found so far.  Among candidates whose computed PAPRs are
-    bitwise equal the lowest flat index wins; candidates that tie only
-    in exact arithmetic are ranked by rounding.
-    The best candidate is committed only if strictly better; otherwise
-    the search stops, as it does after cfg.max_iter passes when that is
-    positive.  iterations_used counts passes, including the final
-    non-improving one.  This is greedy_precode_batch on a batch of one
-    frame.
+    Each pass ranks the MN single-flip candidates of the best vector so
+    far by PAPR, computed as peak over exact energy; bitwise-equal values
+    go to the lowest flat index.  So among the ring-A flips that keep the
+    frame peak (outside the peak column, their column's new max below
+    it), which tie exactly, the lowest flat index is the one committed.
+    The best candidate is committed only if strictly better, as confirmed
+    in papr() units on the refreshed grid; otherwise the search stops, as
+    it does after cfg.max_iter passes when that is positive.
+    iterations_used counts passes, including the final non-improving
+    one.  This is greedy_precode_batch on a batch of one frame.
     """
     return greedy_precode_batch(params.frame(u)[None, :], params, cfg)[0]
 
@@ -165,49 +165,47 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
     # (ring 2A) of its frame, frame[b], rather than u (ring A).
     ring = np.zeros((B, N, M), dtype=bool)
     # pw[b, n, l] is the power of time sample (n, l) of row b, and
-    # cand_max/cand_sum[b, k, l] the max/sum of column l's power after the
-    # flip of x[k, l].
-    pw, cand_max, cand_sum = (np.empty((B, N, M)) for _ in range(3))
+    # cand_max[b, k, l] the max of column l's power after the flip of x[k, l].
+    pw, cand_max = np.empty((B, N, M)), np.empty((B, N, M))
     for b in range(B):  # frame by frame: no (B, N, N, M) temporary
-        pw[b], cand_max[b], cand_sum[b] = _column_stats(u[b], u[b], W)
-    total = pw.reshape(B, MN).sum(axis=1)
-    p_star = MN * pw.reshape(B, MN).max(axis=1) / total
+        pw[b], cand_max[b] = _column_stats(u[b], u[b], W)
+    p_star = MN * pw.reshape(B, MN).max(axis=1) / pw.reshape(B, MN).sum(axis=1)
+    e_up = np.full(B, MN + 3.0)  # MN + 3(d + 1): the energy after a ring-A flip
     flips: list[list[int]] = [[] for _ in U]
 
     passes = 0  # read by the cap; a frame flips once a pass but its last
     while len(frame):
         passes += 1
-        col_max, col_sum = pw.max(axis=1, keepdims=True), pw.sum(axis=1, keepdims=True)
+        col_max = pw.max(axis=1, keepdims=True)
         other_max = 0.0  # the peak of the other columns; none at M = 1
         if M > 1:
             top2 = np.partition(col_max, M - 2, axis=2)[..., M - 2:]
             other_max = np.where(col_max == top2[..., 1:], top2[..., :1], top2[..., 1:])
-        p_cand = np.maximum(cand_max, other_max)  # in place from here on
-        p_cand *= MN
-        p_cand /= total[:, None, None] - col_sum + cand_sum
-        p_cand = p_cand.reshape(-1, MN)
+        den = ring * -6.0  # the exact energy after each flip
+        den += e_up[:, None, None]
+        p_cand = np.divide(np.maximum(cand_max, other_max), den, out=den).reshape(-1, MN)
         t = p_cand.argmin(axis=1)  # first minimum == lowest flat index
-        done = ~(p_cand[np.arange(len(frame)), t] < p_star)
-        del p_cand
+        done = ~(p_cand[np.arange(len(frame)), t] < col_max.max(axis=(1, 2)) / (e_up - 3))
+        del p_cand, den
         c = np.flatnonzero(~done)  # the rows that commit their best flip
         tc = t[c]
         k, l = np.divmod(tc, M)
         ring[c, k, l] ^= True
         uc, rc = u[frame[c], :, l], ring[c, :, l]
         stats = _column_stats(np.where(rc, uc + uc, uc).T, np.where(rc, -uc, uc).T, W)
-        pw[c, :, l], cand_max[c, :, l], cand_sum[c, :, l] = (a.T for a in stats)
-        # Every row is reduced, each on its own: no copy of the committing rows.
-        total[c] = pw.reshape(-1, MN).sum(axis=1)[c]
-        p_new = MN * pw.reshape(-1, MN).max(axis=1)[c] / total[c]
+        pw[c, :, l], cand_max[c, :, l] = (a.T for a in stats)
+        # Confirmed in papr() units; every row is reduced, each on its own.
+        p_new = MN * pw.reshape(-1, MN).max(axis=1)[c]
+        p_new /= pw.reshape(-1, MN).sum(axis=1)[c]
         tie = ~(p_new < p_star[c])
         if tie.any():
-            # The candidate value beat p_star but the refreshed grid does
-            # not: an ulp-level tie.  Undo and stop so the committed PAPR
-            # sequence stays strictly decreasing.
+            # An ulp-level tie: the refreshed grid does not confirm the flip.
+            # Undo and stop, so the committed PAPRs stay strictly decreasing.
             ring[c[tie], k[tie], l[tie]] ^= True
             done[c[tie]] = True
-            c, tc, p_new = c[~tie], tc[~tie], p_new[~tie]
+            c, tc, k, l, p_new = c[~tie], tc[~tie], k[~tie], l[~tie], p_new[~tie]
         p_star[c] = p_new
+        e_up[c] += np.where(ring[c, k, l], 3, -3)
         for f, flip in zip(frame[c].tolist(), tc.tolist()):
             flips[f].append(flip)
         if passes >= cap:  # the cap stops every frame still searching
@@ -217,10 +215,9 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
                 x_star[f] = np.where(r, u[f] + u[f], u[f]).reshape(MN)
             p_out[frame[done]] = p_star[done]
             keep = ~done  # one grid at a time: never two copies of the state
-            frame, ring, total, p_star = frame[keep], ring[keep], total[keep], p_star[keep]
+            frame, ring, e_up, p_star = frame[keep], ring[keep], e_up[keep], p_star[keep]
             pw = pw[keep]
             cand_max = cand_max[keep]
-            cand_sum = cand_sum[keep]
 
     return [PrecodeResult(x_star=x, iterations_used=min(len(f) + 1, cap), flips=f,
                           papr_star=PaprSample(float(p), float(10 * np.log10(p))))

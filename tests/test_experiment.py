@@ -58,6 +58,15 @@ class TestRunCcdf:
         proposed = run_ccdf(cfg, method="proposed")
         assert np.all(proposed.samples_db <= none.samples_db + 1e-9)
 
+    def test_proposed_does_not_depend_on_amplitude(self):
+        """The greedy search runs on the unit ring, so every frame flips
+        the same symbols at any amplitude."""
+        cfg = ExperimentConfig(frames=20, seed=2, method="proposed")
+        unit = run_ccdf(cfg).samples_db
+        for A in (0.1, 3.7, 1e-100):
+            scaled = run_ccdf(replace(cfg, amplitude=A)).samples_db
+            np.testing.assert_allclose(scaled, unit, rtol=0, atol=1e-12)
+
 
 class TestTransmitDispatch:
     def test_methods_produce_frames_of_correct_size(self):
@@ -69,7 +78,7 @@ class TestTransmitDispatch:
         u = map_bits_to_symbols(bits, alphabet, params)
         precoded = greedy_precode(u, cfg.params, cfg.greedy)
         for method in ("none", "proposed", "companding", "icf", "dft"):
-            tx = transmit(u, method, cfg, precoded)
+            tx = transmit(u, method, cfg, precoded.x_star)
             assert tx.s.shape == (params.size,)
 
     def test_unknown_method_rejected(self):
@@ -264,7 +273,8 @@ class TestFrameChunks:
             for f, value in enumerate(result.samples_db):
                 _, u = draw_info_vector(cfg, frame_rng(cfg.seed, f))
                 precoded = greedy_precode(u, cfg.params, cfg.greedy)
-                assert value == papr(transmit(u, "proposed", cfg, precoded).s).value_db
+                tx = transmit(u, "proposed", cfg, precoded.x_star)
+                assert value == papr(tx.s).value_db
 
     def test_scaling_table_and_error_rate_match_one_frame_chunks(
             self, chunk_sizes, monkeypatch):
