@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .baselines import (CompandingConfig, DftSpreadConfig, IcfConfig,
                         dft_despread, dft_spread, icf, mu_compand, mu_expand)
 from .channel import (ETU300_PROFILE, ChannelBlocks, ChannelRealization,
-                      PathProfile, add_awgn, apply_channel, calibrate_noise,
+                      PathProfile, apply_channel, calibrate_noise,
                       channel_blocks, effective_dd_matrix, identity_channel,
-                      named_profile, sample_channel)
+                      named_profile)
 from .config import ExperimentConfig, config_from_mapping, parse_config_text
 from .errors import (CorruptedStateError, EqualizerError, InstanceTooLargeError,
                      ParameterError, UndefinedPaprError,

@@ -51,19 +51,25 @@ class DftSpreadConfig:
             raise ParameterError(f"axis must be 'delay' or 'doppler', got {self.axis!r}")
 
 
-def mu_compand(s, cfg: CompandingConfig, V: float) -> np.ndarray:
+def mu_compand(s, cfg: CompandingConfig, V) -> np.ndarray:
     """Logarithmic magnitude compression toward the peak reference V.
 
     |out| = V * ln(1 + mu*|s|/V) / ln(1 + mu), phases preserved.  V must
-    be at least the frame peak so the map stays on [0, V].
+    be at least the frame peak so the map stays on [0, V].  s is one
+    frame, with V a number, or a stack of frames, one a row, with V one
+    peak reference a row; each row is companded toward its own V.
     """
     s = np.asarray(s, dtype=complex)
+    V = np.asarray(V, dtype=float)
     mag = np.abs(s)
-    peak = mag.max() if s.size else 0.0
-    if not peak > 0:
+    peak = mag.max(axis=-1, initial=0.0)
+    if not np.all(peak > 0):
         raise ParameterError("cannot compand an all-zero frame")
-    if V < peak:
-        raise ParameterError(f"peak reference V={V} below frame peak {peak}")
+    low = V < peak
+    if np.any(low):
+        raise ParameterError(
+            f"peak reference V={V[low][0]} below frame peak {peak[low][0]}")
+    V = V[..., None]
     out_mag = V * np.log1p(cfg.mu * mag / V) / np.log1p(cfg.mu)
     return _with_magnitude(s, mag, out_mag)
 
@@ -77,9 +83,9 @@ def mu_expand(s, cfg: CompandingConfig, V: float) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if not V > 0:
         raise ParameterError(f"peak reference must be positive, got {V}")
-    mag = np.minimum(np.abs(s), V)
-    out_mag = (V / cfg.mu) * np.expm1(mag * np.log1p(cfg.mu) / V)
-    return _with_magnitude(s, np.abs(s), out_mag)
+    mag = np.abs(s)
+    out_mag = (V / cfg.mu) * np.expm1(np.minimum(mag, V) * np.log1p(cfg.mu) / V)
+    return _with_magnitude(s, mag, out_mag)
 
 
 def clip_count(s, V: float) -> int:
@@ -88,28 +94,33 @@ def clip_count(s, V: float) -> int:
 
 
 def _with_magnitude(s, mag, new_mag):
-    out = np.zeros_like(s)
+    """s with each magnitude mag set to new_mag, phases kept; samples
+    whose magnitude is not positive come out 0."""
     nz = mag > 0
-    out[nz] = s[nz] * (new_mag[nz] / mag[nz])
-    return out
+    ratio = np.divide(new_mag, mag, out=np.zeros_like(mag), where=nz)
+    return np.multiply(s, ratio, out=np.zeros_like(s), where=nz)
 
 
 def _spectral_interpolate(s, L: int) -> np.ndarray:
-    """Zero-padded spectrum extension to L times the sample count."""
-    n = len(s)
+    """Zero-padded spectrum extension of each row of s (or of one frame)
+    to L times its sample count."""
+    n = s.shape[-1]
     head = (n + 1) // 2
     spec = np.fft.fft(s)
-    padded = np.zeros(L * n, dtype=complex)
-    padded[:head] = spec[:head]
-    padded[L * n - (n - head):] = spec[head:]
-    return np.fft.ifft(padded) * L
+    padded = np.zeros(s.shape[:-1] + (L * n,), dtype=complex)
+    padded[..., :head] = spec[..., :head]
+    padded[..., L * n - (n - head):] = spec[..., head:]
+    up = np.fft.ifft(padded)
+    up *= L
+    return up
 
 
 def _spectral_decimate(up, n: int, L: int) -> np.ndarray:
     """Inverse of _spectral_interpolate: keep the n in-band bins."""
     head = (n + 1) // 2
-    spec = np.fft.fft(up) / L
-    kept = np.concatenate([spec[:head], spec[L * n - (n - head):]])
+    spec = np.fft.fft(up)
+    spec /= L
+    kept = np.concatenate([spec[..., :head], spec[..., L * n - (n - head):]], axis=-1)
     return np.fft.ifft(kept)
 
 
@@ -117,20 +128,31 @@ def icf(s, cfg: IcfConfig, params: FrameParams) -> np.ndarray:
     """Iterative clipping and filtering.
 
     Each round interpolates to an oversampled grid, clips magnitudes at
-    gamma = rms * 10^(clip_ratio_db/20) (phase preserved), and removes
-    the out-of-band regrowth by keeping only the in-band spectral bins.
-    The receiver applies no inverse; the residual clipping distortion
-    rides along as noise.
+    gamma = rms * 10^(clip_ratio_db/20), rms that of the frame's own
+    oversampled samples (phase preserved), and removes the out-of-band
+    regrowth by keeping only the in-band spectral bins.  The receiver
+    applies no inverse; the residual clipping distortion rides along as
+    noise.  This is icf_batch on a batch of one frame.
     """
-    out = params.frame(s, "samples")
+    return icf_batch(params.frame(s, "samples")[None], cfg, params)[0]
+
+
+def icf_batch(S, cfg: IcfConfig, params: FrameParams) -> np.ndarray:
+    """icf of every row of S, with one call a stage for the stack.  Each
+    row is clipped at its own gamma, from the rms of its own oversampled
+    samples, and comes out bit for bit as alone.  The oversampled grid
+    holds L samples a symbol of S, so callers bound memory by the rows
+    they pass.
+    """
+    out = params.frames(S, "samples")
     L = cfg.oversample_factor
+    ratio = 10 ** (cfg.clip_ratio_db / 20)
     for _ in range(cfg.iterations):
         up = _spectral_interpolate(out, L)
-        rms = np.sqrt(np.mean(np.abs(up) ** 2))
-        gamma = rms * 10 ** (cfg.clip_ratio_db / 20)
         mag = np.abs(up)
+        gamma = np.sqrt(np.mean(mag ** 2, axis=-1, keepdims=True)) * ratio
         over = mag > gamma
-        up[over] *= gamma / mag[over]
+        up[over] *= np.broadcast_to(gamma, up.shape)[over] / mag[over]
         out = _spectral_decimate(up, params.size, L)
     return out
 
@@ -152,22 +174,36 @@ def dft_spread(u, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
     - axis='doppler' cancels the modulator's DFT up to a scale and an
       index reversal, so each time sample is one symbol: 0 dB PAPR for
       PSK at critical sampling.
+
+    This is dft_spread_batch on a batch of one frame.
     """
-    return _unitary_dft(u, cfg, params, inverse=False)
+    return dft_spread_batch(params.frame(u)[None], cfg, params)[0]
+
+
+def dft_spread_batch(U, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
+    """dft_spread of every row of U, in one FFT call."""
+    return _unitary_dft(params.frames(U), cfg, params, inverse=False)
 
 
 def dft_despread(x, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
-    """Exact inverse of dft_spread, applied after equalization."""
-    return _unitary_dft(x, cfg, params, inverse=True)
+    """Exact inverse of dft_spread, applied after equalization.  This is
+    dft_despread_batch on a batch of one frame."""
+    return dft_despread_batch(params.frame(x)[None], cfg, params)[0]
 
 
-def _unitary_dft(v, cfg: DftSpreadConfig, params: FrameParams,
+def dft_despread_batch(X, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
+    """dft_despread of every row of X, in one inverse FFT call."""
+    return _unitary_dft(params.frames(X), cfg, params, inverse=True)
+
+
+def _unitary_dft(V, cfg: DftSpreadConfig, params: FrameParams,
                  inverse: bool) -> np.ndarray:
-    """The unitary DFT of the symbol grid along cfg.axis, or its inverse."""
-    axis, n = (1, params.M) if cfg.axis == "delay" else (0, params.N)
-    grid = params.frame(v).reshape(params.N, params.M)
+    """The unitary DFT of each row's symbol grid along cfg.axis, or its
+    inverse, for a stack V of shape (F, MN)."""
+    axis, n = (2, params.M) if cfg.axis == "delay" else (1, params.N)
+    grid = V.reshape(len(V), params.N, params.M)
     if inverse:
         out = np.fft.ifft(grid, axis=axis) * np.sqrt(n)
     else:
         out = np.fft.fft(grid, axis=axis) / np.sqrt(n)
-    return out.reshape(params.size)
+    return out.reshape(V.shape)

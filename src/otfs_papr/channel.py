@@ -87,23 +87,17 @@ def identity_channel() -> ChannelRealization:
                               doppler_hz=np.zeros(1))
 
 
-def sample_channel(profile: PathProfile, nu_max: float, params: FrameParams,
-                   rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization.
+def sample_channels(profile: PathProfile, nu_maxes, params: FrameParams,
+                    rng: np.random.Generator) -> list:
+    """One draw of a channel's gains and angles theta, realized at each
+    maximum Doppler in nu_maxes.
 
     Gains are i.i.d. circularly-symmetric complex Gaussian with variances
     proportional to the power profile and normalized so their total
-    variance is 1.  Each path's Doppler is nu_max*cos(theta) with theta
-    uniform on [0, 2pi); delays are rounded to the nearest sample tap.
+    variance is 1.  Path i's Doppler is nu*cos(theta_i) with theta_i
+    uniform on [0, 2pi), for every nu, so the realizations differ only in
+    their Doppler shifts; delays are rounded to the nearest sample tap.
     """
-    return sample_channels(profile, (nu_max,), params, rng)[0]
-
-
-def sample_channels(profile: PathProfile, nu_maxes, params: FrameParams,
-                    rng: np.random.Generator) -> list:
-    """sample_channel's one draw of gains and angles theta, at each
-    maximum Doppler in nu_maxes: path i's Doppler is nu*cos(theta_i) for
-    every nu, so the realizations differ only in their Doppler shifts."""
     for nu_max in nu_maxes:
         if not 0 <= nu_max < math.inf:
             raise ParameterError(f"nu_max must be >= 0 and finite, got {nu_max}")
@@ -256,12 +250,6 @@ def add_noise(r, sigma2: float, w) -> np.ndarray:
     if sigma2 < 0:
         raise ParameterError(f"noise variance must be >= 0, got {sigma2}")
     return r + np.sqrt(sigma2 / 2.0) * w
-
-
-def add_awgn(r, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise of per-sample
-    variance sigma2, drawn from rng."""
-    return add_noise(r, sigma2, unit_noise(np.shape(r), rng))
 
 
 def finite_noise(snr_db: float) -> bool:

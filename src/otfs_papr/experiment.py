@@ -8,13 +8,17 @@ An error-rate or Doppler sweep draws frame f once, from (seed, 0, f):
 its information vector, its channel's gains and angles, and one
 unit-noise vector.  Every sweep point (SNR or maximum Doppler) runs on
 these common draws, so a point's rows are those of a run at that point
-alone.  The loop is frame-major: every method runs on a frame before the
-next one is drawn, so methods are compared on identical frames, channels
-and noise.  One transmit stage, `_frames`, serves every runner: it draws
-frames in chunks so that the greedy precoder searches a whole chunk in
-lockstep, and yields each frame with every method's transmit signal.
-Every later stage runs frame by frame, on the stack of the frame's
-methods (and, in the receiver, of its methods at every SNR).
+alone.  Every method runs on the same drawn frames, channels and noise,
+so methods are compared on identical inputs.
+
+One transmit stage, `_chunks`, serves every runner: it takes frames in
+chunks and runs each transmit-side stage once a chunk, on the stack of
+the chunk's frames, one a row: the draw's Gray mapping, the lockstep
+greedy search and each method's transmit_batch.  ccdf and scaling-table
+runs then read each chunk's PAPR in one papr_batch call.  Error-rate and
+Doppler sweeps take each chunk frame by frame (`_frames`): the channel,
+noise, receiver and detection run once a frame, on the stack of the
+frame's methods (and, in the receiver, of its methods at every SNR).
 """
 
 import datetime
@@ -24,16 +28,16 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
-                        mu_expand)
+from .baselines import (clip_count, dft_despread_batch, dft_spread_batch,
+                        icf_batch, mu_compand, mu_expand)
 from .channel import (add_noise, apply_channel, calibrate_noise,
                       channel_blocks, delay_taps, identity_channel,
                       sample_channels, unit_noise)
 from .config import METHODS, ExperimentConfig, config_summary
 from .errors import ParameterError
 from .frame import PskAlphabet, detect_symbols, map_bits_to_symbols
-from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
-from .modem import demodulate, modulate
+from .metrics import CcdfCurve, ccdf, papr_at_ccdf, papr_batch
+from .modem import demodulate_batch, modulate_batch
 from .precoder import greedy_precode_batch
 from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
                        dd_noise_variance)
@@ -43,11 +47,14 @@ CCDF_TARGETS = (0.5, 0.1)
 DOPPLER_SWEEP_DEFAULT_HZ = tuple(float(v) for v in range(0, 2401, 300))
 DOPPLER_SWEEP_SNR_DB = 18.0
 # Symbols per frame chunk of the runners: each chunk of
-# max(1, FRAME_CHUNK_SYMBOLS // MN) frames goes through the greedy
-# precoder in one lockstep call.  Larger chunks make the lockstep passes
-# cheaper per frame but raise peak memory: the search holds a ring mask
-# and two float grids, 17 bytes a symbol, and allocates about 51 bytes a
-# symbol at its peak, 0.8 MB a chunk.  No result depends on the chunk.
+# max(1, FRAME_CHUNK_SYMBOLS // MN) frames is drawn, precoded, transmitted
+# and, in ccdf runs, read for PAPR with one call a stage.  Larger chunks
+# make every call cheaper per frame but raise peak memory: the greedy
+# search holds a ring mask and two float grids, 17 bytes a symbol, and
+# allocates about 51 bytes a symbol at its peak, 0.8 MB a chunk; each
+# transmit stack is 16 bytes a symbol, and ICF works on slices of the
+# chunk, so its oversampled grid holds no more symbols than the chunk.
+# No result depends on the chunk.
 FRAME_CHUNK_SYMBOLS = 16384
 
 
@@ -58,64 +65,111 @@ def frame_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def draw_info_vector(cfg: ExperimentConfig, rng: np.random.Generator):
-    """Random information bits and their symbols on the unit ring."""
-    bits = rng.integers(0, 2, cfg.params.size * cfg.alphabet.bits_per_symbol)
+    """Random information bits and their symbols on the unit ring.  This
+    is draw_info_batch on a batch of one frame."""
+    bits, symbols = draw_info_batch(cfg, [rng])
+    return bits[0], symbols[0]
+
+
+def draw_info_batch(cfg: ExperimentConfig, rngs):
+    """draw_info_vector of each substream in rngs, one frame a row: each
+    frame's bits come from its own substream, and the stack is mapped to
+    the unit ring in one call."""
+    n = cfg.params.size * cfg.alphabet.bits_per_symbol
+    bits = np.array([rng.integers(0, 2, n) for rng in rngs])
     return bits, map_bits_to_symbols(bits, PskAlphabet(cfg.modulation), cfg.params)
 
 
-def _frames(cfg: ExperimentConfig, methods, *point: int):
-    """The runners' one transmit stage: yield (substream, information
-    vector, one TransmitFrame per method) for each frame, frame f drawing
-    from frame_rng(seed, *point, f); the caller finishes the frame before
-    the next.
+def _chunk_frames(params) -> int:
+    """Frames per chunk of the runners (FRAME_CHUNK_SYMBOLS)."""
+    return max(1, FRAME_CHUNK_SYMBOLS // params.size)
 
-    Frames are drawn in chunks of about FRAME_CHUNK_SYMBOLS symbols; with
-    "proposed" each chunk is precoded on the unit ring in one lockstep
-    greedy_precode_batch call and x* is scaled by A, so no flip depends
-    on A.  Transmitting draws nothing from the substream, so the caller's
-    draws follow the information vector's (the symbols times A).
+
+def _chunks(cfg: ExperimentConfig, methods, *point: int):
+    """The runners' one transmit stage: yield (substreams, information
+    vectors, one TransmitFrame stack per method) for each chunk of
+    about FRAME_CHUNK_SYMBOLS symbols, one frame a row, frame f drawing
+    from frame_rng(seed, *point, f).
+
+    Each stage runs once a chunk: the draw, the Gray mapping, with
+    "proposed" one lockstep greedy_precode_batch search on the unit ring
+    (x* is then scaled by A, so no flip depends on A), and each method's
+    transmit_batch.  Transmitting draws nothing from the substreams, so
+    a caller's draws follow the information vector's (the symbols
+    times A).
     """
-    A, chunk = cfg.amplitude, max(1, FRAME_CHUNK_SYMBOLS // cfg.params.size)
+    A, chunk = cfg.amplitude, _chunk_frames(cfg.params)
     for start in range(0, cfg.frames, chunk):
         rngs = [frame_rng(cfg.seed, *point, f)
                 for f in range(start, min(start + chunk, cfg.frames))]
-        E = np.array([draw_info_vector(cfg, rng)[1] for rng in rngs])
-        x_stars = itertools.repeat(None)
-        if "proposed" in methods:  # scaled frame by frame, as the frames go out
-            x_stars = (A * r.x_star
-                       for r in greedy_precode_batch(E, cfg.params, cfg.greedy))
-        # Each frame's own u: a frame the caller still holds does not keep
-        # its whole chunk alive while the next chunk is searched.
-        for rng, u, x_star in zip(rngs, (A * e for e in E), x_stars):
-            yield rng, u, [transmit(u, method, cfg, x_star) for method in methods]
+        E = draw_info_batch(cfg, rngs)[1]
+        X_star = None
+        if "proposed" in methods:
+            X_star = np.array([r.x_star for r in
+                               greedy_precode_batch(E, cfg.params, cfg.greedy)])
+            X_star *= A
+        E *= A  # the information vectors u
+        yield rngs, E, [transmit_batch(E, method, cfg, X_star) for method in methods]
+
+
+def _frames(cfg: ExperimentConfig, methods, *point: int):
+    """_chunks frame by frame: yield (substream, information vector, one
+    TransmitFrame per method) for each frame; the caller finishes the
+    frame before the next.  Each frame gets its own copies, so a frame
+    the caller still holds does not keep its chunk alive while the next
+    chunk is searched."""
+    for rngs, U, sent in _chunks(cfg, methods, *point):
+        for f, rng in enumerate(rngs):
+            yield rng, U[f].copy(), [
+                TransmitFrame(s=tx.s[f].copy(), peak_reference=(
+                    None if tx.peak_reference is None else float(tx.peak_reference[f])))
+                for tx in sent]
 
 
 @dataclass(frozen=True)
 class TransmitFrame:
-    """Transmit-side products of one frame for one method."""
+    """Transmit-side products for one method: of one frame, or of a stack
+    of frames with one row of s and one peak reference a frame."""
 
     s: np.ndarray
-    peak_reference: float | None = None  # companding side information
+    peak_reference: float | np.ndarray | None = None  # companding side information
 
 
 def transmit(u, method: str, cfg: ExperimentConfig,
              x_star: np.ndarray | None) -> TransmitFrame:
     """One method's transmit path: modulate u, or x_star (u's greedy
     search result) for "proposed" or u spread for "dft", then compand
-    (with its peak reference) for "companding" or clip for "icf".
+    (toward its peak, the peak reference) for "companding" or clip for
+    "icf".  This is transmit_batch on a batch of one frame.
+    """
+    tx = transmit_batch(cfg.params.frame(u)[None], method, cfg,
+                        None if x_star is None else np.asarray(x_star)[None])
+    V = tx.peak_reference
+    return TransmitFrame(s=tx.s[0], peak_reference=None if V is None else float(V[0]))
+
+
+def transmit_batch(U, method: str, cfg: ExperimentConfig,
+                   X_star: np.ndarray | None) -> TransmitFrame:
+    """transmit of every row of U (with the row of X_star for
+    "proposed"), one call a stage for the stack: each row is companded
+    toward its own peak, or clipped at its own rms.  ICF runs in slices of
+    max(1, chunk // oversample_factor) frames, chunk the runners' frames a
+    chunk, so its oversampled grid holds no more symbols than a chunk.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
     params = cfg.params
-    x = (x_star if method == "proposed"
-         else dft_spread(u, cfg.dft, params) if method == "dft" else u)
-    s = modulate(x, params)
+    X = (X_star if method == "proposed"
+         else dft_spread_batch(U, cfg.dft, params) if method == "dft" else U)
+    S = modulate_batch(X, params)
     if method == "companding":
-        V = float(np.abs(s).max())
-        return TransmitFrame(s=mu_compand(s, cfg.companding, V), peak_reference=V)
+        V = np.abs(S).max(axis=1)
+        return TransmitFrame(s=mu_compand(S, cfg.companding, V), peak_reference=V)
     if method == "icf":
-        s = icf(s, cfg.icf, params)
-    return TransmitFrame(s=s)
+        step = max(1, _chunk_frames(params) // cfg.icf.oversample_factor)
+        for i in range(0, len(S), step):
+            S[i:i + step] = icf_batch(S[i:i + step], cfg.icf, params)
+    return TransmitFrame(s=S)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +188,11 @@ class CcdfResult:
 def _papr_samples(cfg: ExperimentConfig, methods, *point: int) -> np.ndarray:
     """PAPR (dB) of every frame at one sweep point, one row per method."""
     samples = np.empty((len(methods), cfg.frames))
-    for f, (_, _, sent) in enumerate(_frames(cfg, methods, *point)):
-        samples[:, f] = [papr(tx.s).value_db for tx in sent]
+    start = 0
+    for rngs, _, sent in _chunks(cfg, methods, *point):
+        for row, tx in zip(samples, sent):
+            row[start:start + len(rngs)] = [p.value_db for p in papr_batch(tx.s)]
+        start += len(rngs)
     return samples
 
 
@@ -200,6 +257,7 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
         delay_taps(profile, params)  # raises where no block size exists
     methods = cfg.methods
     rows = [(snr_db, i) for snr_db in snrs for i in range(len(methods))]
+    dft_rows = np.array([methods[i] == "dft" for _, i in rows])
     counts = [ErrorCounts(0, 0, 0, 0)] * (len(nus) * len(rows))
     skipped = [0] * len(counts)
     clips = [0] * len(counts)
@@ -225,14 +283,13 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
                 loading.append(dd_noise_variance(sigma2, params) / alphabet.A ** 2)
             z = block_mmse_equalize(channel_blocks(ch, params), np.array(received),
                                     np.array(loading))
-            for k, ((_, i), z_k) in enumerate(zip(rows, z), first):
-                if np.isnan(z_k[0]):  # the receiver failed on this row's frame
+            x_hat = demodulate_batch(z, params)
+            x_hat[dft_rows] = dft_despread_batch(x_hat[dft_rows], cfg.dft, params)
+            for k, x_k in enumerate(x_hat, first):
+                if np.isnan(x_k[0]):  # the receiver failed on this row's frame
                     skipped[k] += 1
                     continue
-                x_hat = demodulate(z_k, params)
-                if methods[i] == "dft":
-                    x_hat = dft_despread(x_hat, cfg.dft, params)
-                counts[k] = counts[k] + count_errors(detect_symbols(x_hat, alphabet),
+                counts[k] = counts[k] + count_errors(detect_symbols(x_k, alphabet),
                                                      truth, alphabet)
     return [ErrorRatePoint(method=methods[i], snr_db=snr_db, nu_max_hz=nu,
                            frames=cfg.frames - skipped[k], counts=counts[k],

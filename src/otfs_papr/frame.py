@@ -4,7 +4,8 @@ Symbols live on a delay-Doppler grid with M delay bins and N Doppler bins.
 The flat layout puts the (k, l)-th grid symbol (k Doppler, l delay) at
 vector index k*M + l.  FrameParams checks frames: every single-frame
 entry point takes its frame through FrameParams.frame, which accepts
-exactly MN symbols or time samples.
+exactly MN symbols or time samples, and every stack entry point (the
+`_batch` functions, one frame a row) through FrameParams.frames.
 """
 
 from dataclasses import dataclass
@@ -59,6 +60,16 @@ class FrameParams:
             raise ParameterError(f"expected {self.size} {what}, got shape {x.shape}")
         return x
 
+    def frames(self, X, what: str = "symbols") -> np.ndarray:
+        """X as a complex array of shape (F, size), one frame a row.  Any
+        other shape raises ParameterError, whose message calls the
+        elements `what`."""
+        X = np.asarray(X, dtype=complex)
+        if X.ndim != 2 or X.shape[1] != self.size:
+            raise ParameterError(
+                f"expected rows of {self.size} {what}, got shape {X.shape}")
+        return X
+
 
 def check_dense_size(size: int, what: str):
     """Refuse a dense (size x size) oracle beyond DENSE_MAX_SIZE before
@@ -103,7 +114,7 @@ def gray_encode(p):
 
 def gray_decode(g):
     """Gray code label -> index (inverse of gray_encode)."""
-    g = np.asarray(g).astype(np.int64).copy()
+    g = np.asarray(g).astype(np.int64)  # a copy: the loop works in place
     shift = 1
     while shift < 64:
         g ^= g >> shift
@@ -112,7 +123,8 @@ def gray_decode(g):
 
 
 def map_bits_to_symbols(bits, alphabet: PskAlphabet, params: FrameParams) -> np.ndarray:
-    """Gray-map a bit sequence onto one frame of PSK symbols.
+    """Gray-map a bit sequence onto one frame of PSK symbols, or each row
+    of a stack of bit sequences onto its own frame (one row each).
 
     Consecutive groups of log2(D) bits (MSB first) form a Gray label;
     the symbol index p is its Gray decode, so adjacent constellation
@@ -120,14 +132,14 @@ def map_bits_to_symbols(bits, alphabet: PskAlphabet, params: FrameParams) -> np.
     """
     b = alphabet.bits_per_symbol
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1 or len(bits) != params.size * b:
+    if bits.ndim not in (1, 2) or bits.shape[-1] != params.size * b:
         raise ParameterError(
             f"need {params.size * b} bits for M*N={params.size} symbols at "
-            f"{b} bits/symbol, got {len(bits)}")
+            f"{b} bits/symbol, got shape {bits.shape}")
     if np.any((bits != 0) & (bits != 1)):
         raise ParameterError("bits must be 0 or 1")
     weights = 1 << np.arange(b - 1, -1, -1)
-    labels = bits.reshape(params.size, b) @ weights
+    labels = bits.reshape(*bits.shape[:-1], params.size, b) @ weights
     return alphabet.symbols()[gray_decode(labels)]
 
 

@@ -27,14 +27,26 @@ class CcdfCurve:
 
 
 def papr(s) -> PaprSample:
-    """PAPR of a sampled frame: len(s) * max|s|^2 / sum|s|^2."""
-    s = np.asarray(s, dtype=complex)
-    p = np.abs(s) ** 2
-    total = p.sum()
-    if not 0 < total < np.inf:
-        raise UndefinedPaprError(f"PAPR needs a frame of finite nonzero power, got {total}")
-    value = len(s) * p.max() / total
-    return PaprSample(value_linear=float(value), value_db=float(10 * np.log10(value)))
+    """PAPR of a sampled frame: len(s) * max|s|^2 / sum|s|^2.  This is
+    papr_batch on a batch of one frame."""
+    return papr_batch(np.asarray(s, dtype=complex)[None])[0]
+
+
+def papr_batch(S) -> list[PaprSample]:
+    """papr of every row of the stack S, one frame a row, with one call
+    a stage for the stack; each row's PAPR is bit for bit its own."""
+    S = np.asarray(S, dtype=complex)
+    if S.ndim != 2:
+        raise ParameterError(f"expected a stack of frames, one a row, got shape {S.shape}")
+    p = np.abs(S) ** 2
+    total = p.sum(axis=1)
+    finite = (0 < total) & (total < np.inf)
+    if not np.all(finite):
+        raise UndefinedPaprError(
+            f"PAPR needs a frame of finite nonzero power, got {total[~finite][0]}")
+    value = S.shape[1] * p.max(axis=1) / total
+    return [PaprSample(value_linear=v, value_db=d)
+            for v, d in zip(value.tolist(), (10 * np.log10(value)).tolist())]
 
 
 def default_thresholds_db() -> np.ndarray:

@@ -147,10 +147,7 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
     Each frame's result is the one it gets alone: the frames share
     passes, never arithmetic.
     """
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[1] != params.size:
-        raise ParameterError(
-            f"expected rows of {params.size} symbols, got shape {U.shape}")
+    U = params.frames(U)
     for u in U:
         _base_amplitude(u)
     M, N, MN = params.M, params.N, params.size

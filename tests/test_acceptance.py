@@ -16,8 +16,9 @@ import pytest
 from otfs_papr import (FrameParams, GreedyConfig, brute_force_precode,
                        candidate_flip, demodulate, dense_synthesis_matrix,
                        effective_dd_matrix, greedy_precode, modulate,
-                       modulate_oracle, papr, sample_channel)
-from otfs_papr.channel import ETU300_PROFILE, add_awgn, apply_channel
+                       modulate_oracle, papr)
+from otfs_papr.channel import (ETU300_PROFILE, add_noise, apply_channel,
+                               sample_channels, unit_noise)
 from otfs_papr.config import config_from_mapping, parse_config_text
 from otfs_papr.experiment import (csv_body, render_ccdf_samples_csv,
                                   render_error_rate_csv, render_scaling_csv,
@@ -212,7 +213,7 @@ def test_criterion_07_channel_receiver_suite():
     params = FrameParams(M=4, N=4)
     rng = np.random.default_rng(2027)
     for _ in range(100):
-        ch = sample_channel(ETU300_PROFILE, 1000.0, params, rng)
+        ch = sample_channels(ETU300_PROFILE, (1000.0,), params, rng)[0]
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         lhs = effective_dd_matrix(ch, params) @ x
         rhs = demodulate(apply_channel(modulate(x, params), ch, params), params)
@@ -229,7 +230,8 @@ def test_criterion_07_channel_receiver_suite():
     noise_params = FrameParams(M=50, N=20)
     sigma2 = 0.8
     rng = np.random.default_rng(2028)
-    samples = [demodulate(add_awgn(np.zeros(1000, complex), sigma2, rng), noise_params)
+    samples = [demodulate(add_noise(np.zeros(1000, complex), sigma2, unit_noise(1000, rng)),
+                          noise_params)
                for _ in range(100)]
     observed = np.mean(np.abs(np.concatenate(samples)) ** 2)
     expected = dd_noise_variance(sigma2, noise_params)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from otfs_papr import (ETU300_PROFILE, ChannelRealization, FrameParams,
-                       ParameterError, PathProfile, add_awgn, apply_channel,
+                       ParameterError, PathProfile, apply_channel,
                        calibrate_noise, demodulate, effective_dd_matrix,
-                       identity_channel, modulate, named_profile,
-                       sample_channel)
-from otfs_papr.channel import (finite_noise, sample_channels,
-                               time_domain_matrix)
+                       identity_channel, modulate, named_profile)
+from otfs_papr.channel import (add_noise, finite_noise, sample_channels,
+                               time_domain_matrix, unit_noise)
 
 
 def fixed_channel(gains, taps, dopplers):
@@ -45,19 +44,19 @@ class TestPathProfile:
 class TestSampleChannel:
     def test_etu_delay_taps_at_default_grid(self):
         params = FrameParams(M=16, N=16, delta_f=15e3)
-        ch = sample_channel(ETU300_PROFILE, 300.0, params, np.random.default_rng(0))
+        ch = sample_channels(ETU300_PROFILE, (300.0,), params, np.random.default_rng(0))[0]
         assert ch.delay_taps.tolist() == [0, 0, 0, 0, 0, 0, 0, 1, 1]
 
     def test_zero_doppler_limit(self):
         params = FrameParams(M=16, N=16)
-        ch = sample_channel(ETU300_PROFILE, 0.0, params, np.random.default_rng(1))
+        ch = sample_channels(ETU300_PROFILE, (0.0,), params, np.random.default_rng(1))[0]
         assert np.all(ch.doppler_hz == 0.0)
 
     def test_doppler_bounded_by_maximum(self):
         params = FrameParams(M=8, N=8)
         rng = np.random.default_rng(2)
         for _ in range(50):
-            ch = sample_channel(ETU300_PROFILE, 700.0, params, rng)
+            ch = sample_channels(ETU300_PROFILE, (700.0,), params, rng)[0]
             assert np.all(np.abs(ch.doppler_hz) <= 700.0)
 
     def test_gain_normalization_statistics(self):
@@ -66,7 +65,7 @@ class TestSampleChannel:
         total = 0.0
         draws = 10_000
         for _ in range(draws):
-            ch = sample_channel(ETU300_PROFILE, 300.0, params, rng)
+            ch = sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0]
             total += np.sum(np.abs(ch.gains) ** 2)
         assert total / draws == pytest.approx(1.0, abs=0.02)
 
@@ -74,19 +73,19 @@ class TestSampleChannel:
         params = FrameParams(M=16, N=16)
         profile = named_profile("single-path")
         rng = np.random.default_rng(4)
-        power = np.mean([np.abs(sample_channel(profile, 0.0, params, rng).gains[0]) ** 2
+        power = np.mean([np.abs(sample_channels(profile, (0.0,), params, rng)[0].gains[0]) ** 2
                          for _ in range(10_000)])
         assert power == pytest.approx(1.0, abs=0.03)
-        ch = sample_channel(profile, 0.0, params, rng)
+        ch = sample_channels(profile, (0.0,), params, rng)[0]
         assert ch.delay_taps.tolist() == [0]
 
     def test_dopplers_share_one_draw(self):
-        """Each maximum Doppler gets sample_channel's one draw of gains
-        and angles: only nu_max*cos(theta) differs."""
+        """Each maximum Doppler gets the one draw of gains and angles that
+        a lone maximum Doppler gets: only nu_max*cos(theta) differs."""
         params = FrameParams(M=16, N=4)
         chs = sample_channels(ETU300_PROFILE, (0.0, 300.0, 1200.0), params,
                               np.random.default_rng(5))
-        alone = sample_channel(ETU300_PROFILE, 300.0, params, np.random.default_rng(5))
+        alone = sample_channels(ETU300_PROFILE, (300.0,), params, np.random.default_rng(5))[0]
         for a, b in zip((chs[1].gains, chs[1].delay_taps, chs[1].doppler_hz),
                         (alone.gains, alone.delay_taps, alone.doppler_hz)):
             assert np.array_equal(a, b)
@@ -101,8 +100,8 @@ class TestSampleChannel:
         ((-4000.0, -4000.0), (0.5, 0.5)),  # 10^-400 underflows to 0
     ])
     def test_extreme_finite_powers_give_finite_variances(self, powers_db, variances):
-        ch = sample_channel(PathProfile((0.0, 100.0), powers_db), 0.0,
-                            FrameParams(M=4, N=4), np.random.default_rng(7))
+        ch = sample_channels(PathProfile((0.0, 100.0), powers_db), (0.0,),
+                             FrameParams(M=4, N=4), np.random.default_rng(7))[0]
         rng = np.random.default_rng(7)
         unit = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert np.allclose(ch.gains, np.sqrt(np.array(variances) / 2.0) * unit,
@@ -111,8 +110,8 @@ class TestSampleChannel:
     @pytest.mark.parametrize("nu_max", [float("nan"), float("inf")])
     def test_non_finite_nu_max_rejected(self, nu_max):
         with pytest.raises(ParameterError, match="nu_max must be >= 0 and finite"):
-            sample_channel(ETU300_PROFILE, nu_max, FrameParams(M=4, N=4),
-                           np.random.default_rng(6))
+            sample_channels(ETU300_PROFILE, (nu_max,), FrameParams(M=4, N=4),
+                            np.random.default_rng(6))[0]
 
 
 class TestApplyChannel:
@@ -140,7 +139,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(5)
         s1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         s2 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        ch = sample_channel(ETU300_PROFILE, 300.0, params, rng)
+        ch = sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0]
         lhs = apply_channel(2.0 * s1 + 3j * s2, ch, params)
         rhs = 2.0 * apply_channel(s1, ch, params) + 3j * apply_channel(s2, ch, params)
         assert np.allclose(lhs, rhs)
@@ -152,7 +151,7 @@ class TestApplyChannel:
         params = FrameParams(M=4, N=4)
         rng = np.random.default_rng(6)
         s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        ch = sample_channel(ETU300_PROFILE, 500.0, params, rng)
+        ch = sample_channels(ETU300_PROFILE, (500.0,), params, rng)[0]
         H = time_domain_matrix(ch, params)
         assert np.allclose(H @ s, apply_channel(s, ch, params))
 
@@ -163,7 +162,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(12)
         for M, N, nu in [(4, 4, 900.0), (16, 16, 300.0), (8, 2, 2400.0), (1, 3, 50.0)]:
             params = FrameParams(M=M, N=N)
-            ch = sample_channel(ETU300_PROFILE, nu, params, rng)
+            ch = sample_channels(ETU300_PROFILE, (nu,), params, rng)[0]
             s = rng.standard_normal((5, params.size)) \
                 + 1j * rng.standard_normal((5, params.size))
             stacked = apply_channel(s, ch, params)
@@ -190,7 +189,7 @@ class TestApplyChannel:
         s = np.exp(2j * np.pi * np.arange(16) / 7.0)
         rng = np.random.default_rng(7)
         gains = [np.linalg.norm(apply_channel(
-            s, sample_channel(ETU300_PROFILE, 0.0, params, rng), params)) ** 2
+            s, sample_channels(ETU300_PROFILE, (0.0,), params, rng)[0], params)) ** 2
             / np.linalg.norm(s) ** 2 for _ in range(10_000)]
         assert np.mean(gains) == pytest.approx(1.0, abs=0.05)
 
@@ -216,7 +215,7 @@ class TestEffectiveDdMatrix:
         params = FrameParams(M=4, N=4)
         rng = np.random.default_rng(9)
         for _ in range(100):
-            ch = sample_channel(ETU300_PROFILE, 1000.0, params, rng)
+            ch = sample_channels(ETU300_PROFILE, (1000.0,), params, rng)[0]
             x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             lhs = effective_dd_matrix(ch, params) @ x
             rhs = demodulate(apply_channel(modulate(x, params), ch, params), params)
@@ -225,7 +224,7 @@ class TestEffectiveDdMatrix:
     def test_linearity_in_gains(self):
         params = FrameParams(M=2, N=4)
         rng = np.random.default_rng(10)
-        ch = sample_channel(ETU300_PROFILE, 300.0, params, rng)
+        ch = sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0]
         doubled = fixed_channel(2.0 * ch.gains, ch.delay_taps, ch.doppler_hz)
         assert np.allclose(effective_dd_matrix(doubled, params),
                            2.0 * effective_dd_matrix(ch, params))
@@ -234,20 +233,20 @@ class TestEffectiveDdMatrix:
 class TestNoise:
     def test_zero_variance_is_identity(self):
         r = np.ones(8, dtype=complex)
-        out = add_awgn(r, 0.0, np.random.default_rng(0))
+        out = add_noise(r, 0.0, unit_noise(np.shape(r), np.random.default_rng(0)))
         assert np.array_equal(out, r)
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(11)
         sigma2 = 0.37
-        w = add_awgn(np.zeros(100_000, complex), sigma2, rng)
+        w = add_noise(np.zeros(100_000, complex), sigma2, unit_noise(100_000, rng))
         assert np.mean(np.abs(w) ** 2) == pytest.approx(sigma2, rel=0.03)
         assert np.var(w.real) == pytest.approx(sigma2 / 2, rel=0.03)
         assert np.var(w.imag) == pytest.approx(sigma2 / 2, rel=0.03)
 
     def test_rejects_negative_variance(self):
         with pytest.raises(ParameterError):
-            add_awgn(np.ones(4, complex), -1.0, np.random.default_rng(0))
+            add_noise(np.ones(4, complex), -1.0, unit_noise(4, np.random.default_rng(0)))
 
 
 class TestNoiseCalibration:

@@ -335,7 +335,7 @@ class TestPrecodeCommand:
 def test_bad_sweep_value_fails_before_any_frame(tmp_path, monkeypatch, capsys,
                                                 argv, named):
     calls = []
-    monkeypatch.setattr(experiment, "_frames", lambda *a: calls.append(a))
+    monkeypatch.setattr(experiment, "_chunks", lambda *a: calls.append(a))
     assert cli.main([*argv, "--profile", "identity", "--frames", "1",
                      "--output", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Experiment runners: determinism, CSV schemas, and end-to-end sanity."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from otfs_papr import ExperimentConfig, ParameterError, experiment
-from otfs_papr.experiment import (csv_body, draw_info_vector, frame_rng,
+from otfs_papr.experiment import (FRAME_CHUNK_SYMBOLS, csv_body,
+                                  draw_info_vector, frame_rng,
                                   render_ccdf_curve_csv,
                                   render_ccdf_samples_csv,
                                   render_error_rate_csv, render_scaling_csv,
@@ -231,9 +233,9 @@ class TestRunScalingTable:
 
     def test_every_grid_size_checked_before_any_frame(self, monkeypatch):
         calls = []
-        frames = experiment._frames
-        monkeypatch.setattr(experiment, "_frames",
-                            lambda *a: calls.append(a) or frames(*a))
+        chunks = experiment._chunks
+        monkeypatch.setattr(experiment, "_chunks",
+                            lambda *a: calls.append(a) or chunks(*a))
         for sweep_m in ([4, 0], [4, 2.5]):
             with pytest.raises(ParameterError):
                 run_scaling_table(ExperimentConfig(**SMALL), sweep_m=sweep_m)
@@ -247,8 +249,21 @@ class TestRunScalingTable:
 
 
 class TestFrameChunks:
-    """The runners precode frames in lockstep chunks; per-frame results
-    must be those of the single-frame path."""
+    """The runners draw, precode, transmit and read PAPR in chunks;
+    per-frame results must be those of the single-frame path."""
+
+    # Runner configs with the sizes of their chunks at 100 symbols a chunk.
+    # The odd grid splits ICF's spectrum unevenly, and the fifth config
+    # clips its chunks of 6 frames in ICF slices of 3.
+    CONFIGS = [
+        (dict(M=4, N=4, frames=14, seed=21), [6, 6, 2]),
+        (dict(M=3, N=5, frames=14, seed=24), [6, 6, 2]),
+        # One delay column: each frame's sums are its own at M = 1 too.
+        (dict(M=1, N=12, modulation=2, frames=10, seed=38), [8, 2]),
+        (dict(M=4, N=4, modulation=16, frames=9, seed=25), [6, 3]),
+        (dict(M=5, N=3, icf_oversample=2, dft_axis="doppler", frames=9, seed=26), [6, 3]),
+        (dict(M=4, N=5, icf_oversample=5, amplitude=3.7, frames=9, seed=27), [5, 4]),
+    ]
 
     @pytest.fixture
     def chunk_sizes(self, monkeypatch):
@@ -261,37 +276,66 @@ class TestFrameChunks:
         return sizes
 
     def test_ccdf_matches_single_frame_transmit(self, chunk_sizes):
-        for cfg, sizes in [
-                (ExperimentConfig(M=4, N=4, frames=14, seed=21, method="proposed"),
-                 [6, 6, 2]),
-                # One delay column: each frame's sums are its own at M = 1 too.
-                (ExperimentConfig(M=1, N=12, modulation=2, frames=10, seed=38,
-                                  method="proposed"), [8, 2])]:
-            chunk_sizes.clear()
-            result = run_ccdf(cfg)
-            assert chunk_sizes == sizes
-            for f, value in enumerate(result.samples_db):
-                _, u = draw_info_vector(cfg, frame_rng(cfg.seed, f))
-                precoded = greedy_precode(u, cfg.params, cfg.greedy)
-                tx = transmit(u, "proposed", cfg, precoded.x_star)
-                assert value == papr(tx.s).value_db
+        for kwargs, sizes in self.CONFIGS:
+            cfg = ExperimentConfig(method=TestRunErrorRate.ALL_METHODS, **kwargs)
+            A = cfg.amplitude
+            for method in cfg.methods:
+                chunk_sizes.clear()
+                result = run_ccdf(cfg, method)
+                assert chunk_sizes == (sizes if method == "proposed" else [])
+                for f, value in enumerate(result.samples_db):
+                    _, e = draw_info_vector(cfg, frame_rng(cfg.seed, f))
+                    precoded = greedy_precode(e, cfg.params, cfg.greedy)
+                    tx = transmit(A * e, method, cfg, A * precoded.x_star)
+                    assert value == papr(tx.s).value_db
 
     def test_scaling_table_and_error_rate_match_one_frame_chunks(
             self, chunk_sizes, monkeypatch):
-        cfg = ExperimentConfig(N=4, frames=14, seed=22, method="none,proposed",
-                               snr_db_list=(6.0, 12.0))
-        runs = [lambda: run_scaling_table(cfg, sweep_m=[4, 8]).rows,
-                lambda: run_error_rate(replace(cfg, M=8)).points]
-        chunked = [run() for run in runs]
-        m4, m8 = [6, 6, 2], [3, 3, 3, 3, 2]  # 16 and 32 symbols a frame
-        # Both SNR points share the error-rate run's one pass over the frames.
-        assert chunk_sizes == m4 + m8 + m8
-        assert sum(p.counts.symbol_errors for p in chunked[1]) > 0
-        chunk_sizes.clear()
-        monkeypatch.setattr(experiment, "FRAME_CHUNK_SYMBOLS", 1)
-        assert [run() for run in runs] == chunked
-        assert chunk_sizes == [1] * 14 * 3
+        """All five methods, at 100 symbols a chunk, at one frame a chunk
+        and at the default FRAME_CHUNK_SYMBOLS (one chunk for these runs)."""
+        default = FRAME_CHUNK_SYMBOLS
+        # 16 and 32 symbols a frame; the error rate runs at M = 8.
+        cases = [(dict(N=4, frames=14, seed=22), [4, 8], [6, 6, 2] + [3, 3, 3, 3, 2] * 2)]
+        cases += [(kwargs, [kwargs["M"]], sizes * 2) for kwargs, sizes in self.CONFIGS]
+        for kwargs, sweep_m, sizes in cases:
+            monkeypatch.setattr(experiment, "FRAME_CHUNK_SYMBOLS", 100)
+            chunk_sizes.clear()
+            cfg = ExperimentConfig(method=TestRunErrorRate.ALL_METHODS,
+                                   snr_db_list=(6.0, 12.0), **kwargs)
+            runs = [lambda: run_scaling_table(cfg, sweep_m=sweep_m).rows,
+                    lambda: run_error_rate(replace(cfg, M=sweep_m[-1])).points]
+            chunked = [run() for run in runs]
+            # Both SNR points share the error-rate run's one pass over the frames.
+            assert chunk_sizes == sizes
+            assert sum(p.counts.symbol_errors for p in chunked[1]) > 0
+            for symbols, chunks in [(1, cfg.frames), (default, 1)]:
+                chunk_sizes.clear()
+                monkeypatch.setattr(experiment, "FRAME_CHUNK_SYMBOLS", symbols)
+                assert [run() for run in runs] == chunked
+                assert chunk_sizes == [cfg.frames // chunks] * chunks * (len(sweep_m) + 1)
 
+    @pytest.mark.parametrize("M, N", [(16, 16), (64, 16)])
+    def test_chunk_transmit_peak_allocation_stays_under_100_bytes_a_symbol(self, M, N):
+        """A chunk's transmit stack is 16 bytes a symbol and each method's
+        stages build few temporaries; ICF works in slices of a quarter of
+        the chunk (icf_oversample = 4), so its 4x oversampled grid holds
+        no more symbols than the chunk.  Measured peak allocation above
+        the inputs, in bytes a symbol, at 16x16 (64 frames a chunk) and
+        64x16 (16 frames): 16 for none and proposed, 32 for dft, 65 for
+        companding and 81 for icf."""
+        cfg = ExperimentConfig(M=M, N=N)
+        rngs = [frame_rng(5, f) for f in range(FRAME_CHUNK_SYMBOLS // cfg.params.size)]
+        E = experiment.draw_info_batch(cfg, rngs)[1]
+        X = 2 * E
+        for method in TestRunErrorRate.ALL_METHODS.split(","):
+            experiment.transmit_batch(E[:1], method, cfg, X[:1])  # warm up numpy
+            tracemalloc.start()
+            try:
+                experiment.transmit_batch(E, method, cfg, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 100 * E.size, method
 
     def test_each_frame_owns_its_information_vector(self, chunk_sizes):
         """A frame the caller keeps is its own array, not a row of its

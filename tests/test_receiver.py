@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from otfs_papr import (ChannelRealization, EqualizerError, ExperimentConfig,
                        FrameParams, InstanceTooLargeError, ParameterError,
-                       PathProfile, PskAlphabet, add_awgn, apply_channel,
+                       PathProfile, PskAlphabet, apply_channel,
                        channel, channel_blocks, count_errors,
                        dd_noise_variance, demodulate, dense_synthesis_matrix,
                        effective_dd_matrix, experiment, mmse_equalize,
-                       modulate, receiver, sample_channel)
-from otfs_papr.channel import ETU300_PROFILE, block_size, time_domain_matrix
+                       modulate, receiver)
+from otfs_papr.channel import (ETU300_PROFILE, add_noise, block_size,
+                               sample_channels, time_domain_matrix, unit_noise)
 from otfs_papr.experiment import run_error_rate
 from otfs_papr.frame import DENSE_MAX_SIZE, symbols_to_bits
 from otfs_papr.receiver import block_mmse_equalize
@@ -34,7 +35,8 @@ class TestDdNoiseVariance:
         sigma2 = 0.9
         collected = []
         for _ in range(100):
-            w = add_awgn(np.zeros(params.size, complex), sigma2, rng)
+            w = add_noise(np.zeros(params.size, complex), sigma2,
+                          unit_noise(params.size, rng))
             collected.append(demodulate(w, params))
         observed = np.mean(np.abs(np.concatenate(collected)) ** 2)
         assert observed == pytest.approx(dd_noise_variance(sigma2, params), rel=0.03)
@@ -61,7 +63,7 @@ class TestMmseEqualize:
         params = FrameParams(M=4, N=4)
         rng = np.random.default_rng(1)
         for _ in range(10):
-            ch = sample_channel(ETU300_PROFILE, 300.0, params, rng)
+            ch = sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0]
             H = effective_dd_matrix(ch, params)
             x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             y = demodulate(apply_channel(modulate(x, params), ch, params), params)
@@ -242,7 +244,7 @@ def test_blocks_of_sixteen_match_dense_oracle(M):
     with the dense DD solve to 1e-12."""
     params = FrameParams(M=M, N=16)
     rng = np.random.default_rng(M)
-    ch = sample_channel(ETU300_PROFILE, 300.0, params, rng)
+    ch = sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0]
     blocks = channel_blocks(ch, params)
     assert blocks.D.shape == (params.size // 16, 16, 16)
     loadings = np.array([0.05, 1e-3])
@@ -305,7 +307,7 @@ class TestBlockMmseEqualize:
         params = FrameParams(M=8, N=4)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            ch = sample_channel(ETU300_PROFILE, 300.0, params, rng)
+            ch = sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0]
             x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
             r = apply_channel(modulate(x, params), ch, params)
             x_hat = demodulate(block_mmse_equalize(channel_blocks(ch, params), r, 0.0),
@@ -402,7 +404,7 @@ def test_stack_allocates_less_than_a_copy_of_the_gram_blocks_per_row():
     Gram blocks, S*N*M^2*16 bytes."""
     params = FrameParams(M=64, N=16)
     rng = np.random.default_rng(15)
-    blocks = channel_blocks(sample_channel(ETU300_PROFILE, 300.0, params, rng), params)
+    blocks = channel_blocks(sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0], params)
     S = 4
     r = rng.standard_normal((S, params.size)) + 1j * rng.standard_normal((S, params.size))
     loading = np.full(S, 0.05)
@@ -423,7 +425,7 @@ def test_one_row_at_64x16_allocates_less_than_one_stack_of_m_by_m_blocks():
     stack, N*M^2*16 bytes."""
     params = FrameParams(M=64, N=16)
     rng = np.random.default_rng(16)
-    blocks = channel_blocks(sample_channel(ETU300_PROFILE, 300.0, params, rng), params)
+    blocks = channel_blocks(sample_channels(ETU300_PROFILE, (300.0,), params, rng)[0], params)
     r = rng.standard_normal(params.size) + 1j * rng.standard_normal(params.size)
     tracemalloc.start()
     try:
@@ -440,7 +442,7 @@ def test_building_the_blocks_at_64x16_allocates_less_than_two_stacks_of_blocks()
     Gram product, so a build at 64x16 (64 blocks of 16) allocates less
     than two (J, b, b) complex stacks, 2*J*b^2*16 bytes."""
     params = FrameParams(M=64, N=16)
-    ch = sample_channel(ETU300_PROFILE, 300.0, params, np.random.default_rng(17))
+    ch = sample_channels(ETU300_PROFILE, (300.0,), params, np.random.default_rng(17))[0]
     tracemalloc.start()
     try:
         blocks = channel_blocks(ch, params)
@@ -455,7 +457,7 @@ def test_building_the_blocks_at_64x16_allocates_less_than_two_stacks_of_blocks()
 class TestDenseSizeGuards:
     def test_dense_oracles_refuse_large_grids(self):
         params = FrameParams(M=64, N=64)
-        ch = sample_channel(ETU300_PROFILE, 300.0, params, np.random.default_rng(0))
+        ch = sample_channels(ETU300_PROFILE, (300.0,), params, np.random.default_rng(0))[0]
         for build in (lambda: time_domain_matrix(ch, params),
                       lambda: effective_dd_matrix(ch, params),
                       lambda: dense_synthesis_matrix(params)):
