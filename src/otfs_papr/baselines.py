@@ -125,26 +125,20 @@ def _spectral_decimate(up, n: int, L: int) -> np.ndarray:
 
 
 def icf(s, cfg: IcfConfig, params: FrameParams) -> np.ndarray:
-    """Iterative clipping and filtering.
+    """Iterative clipping and filtering, of one frame or of every row of
+    a stack with one call a stage.
 
     Each round interpolates to an oversampled grid, clips magnitudes at
     gamma = rms * 10^(clip_ratio_db/20), rms that of the frame's own
     oversampled samples (phase preserved), and removes the out-of-band
-    regrowth by keeping only the in-band spectral bins.  The receiver
-    applies no inverse; the residual clipping distortion rides along as
-    noise.  This is icf_batch on a batch of one frame.
+    regrowth by keeping only the in-band spectral bins.  Each row is
+    clipped at its own gamma and comes out bit for bit as alone.  The
+    receiver applies no inverse; the residual clipping distortion rides
+    along as noise.  The oversampled grid holds L samples a symbol of s,
+    so callers bound memory by the rows they pass.
     """
-    return icf_batch(params.frame(s, "samples")[None], cfg, params)[0]
-
-
-def icf_batch(S, cfg: IcfConfig, params: FrameParams) -> np.ndarray:
-    """icf of every row of S, with one call a stage for the stack.  Each
-    row is clipped at its own gamma, from the rms of its own oversampled
-    samples, and comes out bit for bit as alone.  The oversampled grid
-    holds L samples a symbol of S, so callers bound memory by the rows
-    they pass.
-    """
-    out = params.frames(S, "samples")
+    s = params.frames(s, "samples")
+    out = s.reshape(-1, params.size)
     L = cfg.oversample_factor
     ratio = 10 ** (cfg.clip_ratio_db / 20)
     for _ in range(cfg.iterations):
@@ -154,7 +148,7 @@ def icf_batch(S, cfg: IcfConfig, params: FrameParams) -> np.ndarray:
         over = mag > gamma
         up[over] *= np.broadcast_to(gamma, up.shape)[over] / mag[over]
         out = _spectral_decimate(up, params.size, L)
-    return out
+    return out.reshape(s.shape)
 
 
 def dft_spread(u, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
@@ -175,33 +169,24 @@ def dft_spread(u, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
       index reversal, so each time sample is one symbol: 0 dB PAPR for
       PSK at critical sampling.
 
-    This is dft_spread_batch on a batch of one frame.
+    u is one frame or a stack of frames, one a row, transformed in one
+    FFT call.
     """
-    return dft_spread_batch(params.frame(u)[None], cfg, params)[0]
-
-
-def dft_spread_batch(U, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
-    """dft_spread of every row of U, in one FFT call."""
-    return _unitary_dft(params.frames(U), cfg, params, inverse=False)
+    return _unitary_dft(params.frames(u), cfg, params, inverse=False)
 
 
 def dft_despread(x, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
-    """Exact inverse of dft_spread, applied after equalization.  This is
-    dft_despread_batch on a batch of one frame."""
-    return dft_despread_batch(params.frame(x)[None], cfg, params)[0]
-
-
-def dft_despread_batch(X, cfg: DftSpreadConfig, params: FrameParams) -> np.ndarray:
-    """dft_despread of every row of X, in one inverse FFT call."""
-    return _unitary_dft(params.frames(X), cfg, params, inverse=True)
+    """Exact inverse of dft_spread, applied after equalization, of one
+    frame or of every row of a stack in one inverse FFT call."""
+    return _unitary_dft(params.frames(x), cfg, params, inverse=True)
 
 
 def _unitary_dft(V, cfg: DftSpreadConfig, params: FrameParams,
                  inverse: bool) -> np.ndarray:
-    """The unitary DFT of each row's symbol grid along cfg.axis, or its
-    inverse, for a stack V of shape (F, MN)."""
+    """The unitary DFT of each frame's symbol grid along cfg.axis, or its
+    inverse, for one frame V (MN,) or a stack (F, MN)."""
     axis, n = (2, params.M) if cfg.axis == "delay" else (1, params.N)
-    grid = V.reshape(len(V), params.N, params.M)
+    grid = V.reshape(-1, params.N, params.M)
     if inverse:
         out = np.fft.ifft(grid, axis=axis) * np.sqrt(n)
     else:

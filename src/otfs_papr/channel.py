@@ -164,10 +164,7 @@ def apply_channel(s, ch: ChannelRealization, params: FrameParams) -> np.ndarray:
     """Pass one frame (MN,), or a stack of frames (S, MN), through the
     channel (no noise), circular in delay.  Each path's per-sample gain
     is computed once for the whole stack."""
-    s = np.asarray(s, dtype=complex)
-    if s.ndim not in (1, 2) or s.shape[-1] != params.size:
-        raise ParameterError(f"expected frames of {params.size} samples, "
-                             f"got shape {s.shape}")
+    s = params.frames(s, "samples")
     r = np.zeros(s.shape, dtype=complex)
     for l, gain in _path_gains(ch, params):
         r += gain * np.roll(s, l, axis=-1)

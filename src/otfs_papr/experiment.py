@@ -14,11 +14,12 @@ so methods are compared on identical inputs.
 One transmit stage, `_chunks`, serves every runner: it takes frames in
 chunks and runs each transmit-side stage once a chunk, on the stack of
 the chunk's frames, one a row: the draw's Gray mapping, the lockstep
-greedy search and each method's transmit_batch.  ccdf and scaling-table
-runs then read each chunk's PAPR in one papr_batch call.  Error-rate and
-Doppler sweeps take each chunk frame by frame (`_frames`): the channel,
-noise, receiver and detection run once a frame, on the stack of the
-frame's methods (and, in the receiver, of its methods at every SNR).
+greedy search and each method's transmit path.  Each stage is one
+function that takes one frame or a stack.  ccdf and scaling-table runs
+then read each chunk's PAPR in one papr call.  Error-rate and Doppler
+sweeps take each chunk frame by frame (`_frames`): the channel, noise,
+receiver and detection run once a frame, on the stack of the frame's
+methods (and, in the receiver, of its methods at every SNR).
 """
 
 import datetime
@@ -28,16 +29,16 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baselines import (clip_count, dft_despread_batch, dft_spread_batch,
-                        icf_batch, mu_compand, mu_expand)
+from .baselines import (clip_count, dft_despread, dft_spread, icf, mu_compand,
+                        mu_expand)
 from .channel import (add_noise, apply_channel, calibrate_noise,
                       channel_blocks, delay_taps, identity_channel,
                       sample_channels, unit_noise)
 from .config import METHODS, ExperimentConfig, config_summary
 from .errors import ParameterError
 from .frame import PskAlphabet, detect_symbols, map_bits_to_symbols
-from .metrics import CcdfCurve, ccdf, papr_at_ccdf, papr_batch
-from .modem import demodulate_batch, modulate_batch
+from .metrics import CcdfCurve, ccdf, papr, papr_at_ccdf
+from .modem import demodulate, modulate
 from .precoder import greedy_precode_batch
 from .receiver import (ErrorCounts, block_mmse_equalize, count_errors,
                        dd_noise_variance)
@@ -64,17 +65,11 @@ def frame_rng(seed: int, *path: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
 
 
-def draw_info_vector(cfg: ExperimentConfig, rng: np.random.Generator):
-    """Random information bits and their symbols on the unit ring.  This
-    is draw_info_batch on a batch of one frame."""
-    bits, symbols = draw_info_batch(cfg, [rng])
-    return bits[0], symbols[0]
-
-
 def draw_info_batch(cfg: ExperimentConfig, rngs):
-    """draw_info_vector of each substream in rngs, one frame a row: each
-    frame's bits come from its own substream, and the stack is mapped to
-    the unit ring in one call."""
+    """Random information bits and their symbols on the unit ring, one
+    frame a row for each substream in rngs: each frame's bits come from
+    its own substream, and the stack is mapped to the unit ring in one
+    call."""
     n = cfg.params.size * cfg.alphabet.bits_per_symbol
     bits = np.array([rng.integers(0, 2, n) for rng in rngs])
     return bits, map_bits_to_symbols(bits, PskAlphabet(cfg.modulation), cfg.params)
@@ -94,7 +89,7 @@ def _chunks(cfg: ExperimentConfig, methods, *point: int):
     Each stage runs once a chunk: the draw, the Gray mapping, with
     "proposed" one lockstep greedy_precode_batch search on the unit ring
     (x* is then scaled by A, so no flip depends on A), and each method's
-    transmit_batch.  Transmitting draws nothing from the substreams, so
+    transmit.  Transmitting draws nothing from the substreams, so
     a caller's draws follow the information vector's (the symbols
     times A).
     """
@@ -109,7 +104,7 @@ def _chunks(cfg: ExperimentConfig, methods, *point: int):
                                greedy_precode_batch(E, cfg.params, cfg.greedy)])
             X_star *= A
         E *= A  # the information vectors u
-        yield rngs, E, [transmit_batch(E, method, cfg, X_star) for method in methods]
+        yield rngs, E, [transmit(E, method, cfg, X_star) for method in methods]
 
 
 def _frames(cfg: ExperimentConfig, methods, *point: int):
@@ -137,38 +132,34 @@ class TransmitFrame:
 
 def transmit(u, method: str, cfg: ExperimentConfig,
              x_star: np.ndarray | None) -> TransmitFrame:
-    """One method's transmit path: modulate u, or x_star (u's greedy
-    search result) for "proposed" or u spread for "dft", then compand
-    (toward its peak, the peak reference) for "companding" or clip for
-    "icf".  This is transmit_batch on a batch of one frame.
-    """
-    tx = transmit_batch(cfg.params.frame(u)[None], method, cfg,
-                        None if x_star is None else np.asarray(x_star)[None])
-    V = tx.peak_reference
-    return TransmitFrame(s=tx.s[0], peak_reference=None if V is None else float(V[0]))
-
-
-def transmit_batch(U, method: str, cfg: ExperimentConfig,
-                   X_star: np.ndarray | None) -> TransmitFrame:
-    """transmit of every row of U (with the row of X_star for
-    "proposed"), one call a stage for the stack: each row is companded
-    toward its own peak, or clipped at its own rms.  ICF runs in slices of
-    max(1, chunk // oversample_factor) frames, chunk the runners' frames a
-    chunk, so its oversampled grid holds no more symbols than a chunk.
+    """One method's transmit path, for one frame u or a stack of frames,
+    one a row, with one call a stage: modulate u, or x_star (u's greedy
+    search result, of u's shape) for "proposed" or u spread for "dft",
+    then compand for "companding", each frame toward its own peak (its
+    peak reference), or clip for "icf", each frame at its own rms.  ICF
+    runs in slices of max(1, chunk // oversample_factor) frames, chunk
+    the runners' frames a chunk, so its oversampled grid holds no more
+    symbols than a chunk.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
     params = cfg.params
-    X = (X_star if method == "proposed"
-         else dft_spread_batch(U, cfg.dft, params) if method == "dft" else U)
-    S = modulate_batch(X, params)
+    U = params.frames(u)
+    if method == "proposed" and np.shape(x_star) != U.shape:
+        got = "none" if x_star is None else f"shape {np.shape(x_star)}"
+        raise ParameterError(f"proposed needs x_star of u's shape {U.shape}, got {got}")
+    X = (x_star if method == "proposed"
+         else dft_spread(U, cfg.dft, params) if method == "dft" else U)
+    S = modulate(X, params)
     if method == "companding":
-        V = np.abs(S).max(axis=1)
-        return TransmitFrame(s=mu_compand(S, cfg.companding, V), peak_reference=V)
+        V = np.abs(S).max(axis=-1)
+        return TransmitFrame(s=mu_compand(S, cfg.companding, V),
+                             peak_reference=V if V.ndim else float(V))
     if method == "icf":
         step = max(1, _chunk_frames(params) // cfg.icf.oversample_factor)
-        for i in range(0, len(S), step):
-            S[i:i + step] = icf_batch(S[i:i + step], cfg.icf, params)
+        rows = S.reshape(-1, params.size)
+        for i in range(0, len(rows), step):
+            rows[i:i + step] = icf(rows[i:i + step], cfg.icf, params)
     return TransmitFrame(s=S)
 
 
@@ -191,7 +182,7 @@ def _papr_samples(cfg: ExperimentConfig, methods, *point: int) -> np.ndarray:
     start = 0
     for rngs, _, sent in _chunks(cfg, methods, *point):
         for row, tx in zip(samples, sent):
-            row[start:start + len(rngs)] = [p.value_db for p in papr_batch(tx.s)]
+            row[start:start + len(rngs)] = papr(tx.s).value_db
         start += len(rngs)
     return samples
 
@@ -283,8 +274,8 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
                 loading.append(dd_noise_variance(sigma2, params) / alphabet.A ** 2)
             z = block_mmse_equalize(channel_blocks(ch, params), np.array(received),
                                     np.array(loading))
-            x_hat = demodulate_batch(z, params)
-            x_hat[dft_rows] = dft_despread_batch(x_hat[dft_rows], cfg.dft, params)
+            x_hat = demodulate(z, params)
+            x_hat[dft_rows] = dft_despread(x_hat[dft_rows], cfg.dft, params)
             for k, x_k in enumerate(x_hat, first):
                 if np.isnan(x_k[0]):  # the receiver failed on this row's frame
                     skipped[k] += 1

@@ -2,10 +2,10 @@
 
 Symbols live on a delay-Doppler grid with M delay bins and N Doppler bins.
 The flat layout puts the (k, l)-th grid symbol (k Doppler, l delay) at
-vector index k*M + l.  FrameParams checks frames: every single-frame
-entry point takes its frame through FrameParams.frame, which accepts
-exactly MN symbols or time samples, and every stack entry point (the
-`_batch` functions, one frame a row) through FrameParams.frames.
+vector index k*M + l.  FrameParams checks frames: each stage of the
+transmit chain takes one frame (MN,) or a stack (F, MN), one frame a
+row, through FrameParams.frames and returns the same shape; the entry
+points that take exactly one frame check it with FrameParams.frame.
 """
 
 from dataclasses import dataclass
@@ -61,13 +61,13 @@ class FrameParams:
         return x
 
     def frames(self, X, what: str = "symbols") -> np.ndarray:
-        """X as a complex array of shape (F, size), one frame a row.  Any
-        other shape raises ParameterError, whose message calls the
-        elements `what`."""
+        """X as a complex array of one frame (size,) or a stack of frames
+        (F, size), one a row.  Any other shape raises ParameterError,
+        whose message calls the elements `what`."""
         X = np.asarray(X, dtype=complex)
-        if X.ndim != 2 or X.shape[1] != self.size:
+        if X.ndim not in (1, 2) or X.shape[-1] != self.size:
             raise ParameterError(
-                f"expected rows of {self.size} {what}, got shape {X.shape}")
+                f"expected frames of {self.size} {what}, got shape {X.shape}")
         return X
 
 

@@ -12,10 +12,11 @@ CCDF_THRESHOLD_MAX_DB = 13.0
 
 @dataclass(frozen=True)
 class PaprSample:
-    """One frame's PAPR, linear and in dB."""
+    """PAPR, linear and in dB: of one frame as floats, or of a stack of
+    frames as arrays with one value a row."""
 
-    value_linear: float
-    value_db: float
+    value_linear: float | np.ndarray
+    value_db: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -27,17 +28,14 @@ class CcdfCurve:
 
 
 def papr(s) -> PaprSample:
-    """PAPR of a sampled frame: len(s) * max|s|^2 / sum|s|^2.  This is
-    papr_batch on a batch of one frame."""
-    return papr_batch(np.asarray(s, dtype=complex)[None])[0]
-
-
-def papr_batch(S) -> list[PaprSample]:
-    """papr of every row of the stack S, one frame a row, with one call
-    a stage for the stack; each row's PAPR is bit for bit its own."""
-    S = np.asarray(S, dtype=complex)
-    if S.ndim != 2:
-        raise ParameterError(f"expected a stack of frames, one a row, got shape {S.shape}")
+    """PAPR of a sampled frame: len(s) * max|s|^2 / sum|s|^2.  s is one
+    frame, or a stack of frames, one a row, read with one call a stage;
+    each row's PAPR is bit for bit its own."""
+    s = np.asarray(s, dtype=complex)
+    if s.ndim not in (1, 2):
+        raise ParameterError(f"expected a frame or a stack of frames, one a row, "
+                             f"got shape {s.shape}")
+    S = s[None] if s.ndim == 1 else s
     p = np.abs(S) ** 2
     total = p.sum(axis=1)
     finite = (0 < total) & (total < np.inf)
@@ -45,8 +43,10 @@ def papr_batch(S) -> list[PaprSample]:
         raise UndefinedPaprError(
             f"PAPR needs a frame of finite nonzero power, got {total[~finite][0]}")
     value = S.shape[1] * p.max(axis=1) / total
-    return [PaprSample(value_linear=v, value_db=d)
-            for v, d in zip(value.tolist(), (10 * np.log10(value)).tolist())]
+    value_db = 10 * np.log10(value)
+    if s.ndim == 1:
+        return PaprSample(value_linear=float(value[0]), value_db=float(value_db[0]))
+    return PaprSample(value_linear=value, value_db=value_db)
 
 
 def default_thresholds_db() -> np.ndarray:

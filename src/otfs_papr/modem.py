@@ -22,30 +22,18 @@ from .frame import FrameParams, check_dense_size
 
 
 def modulate(x, params: FrameParams) -> np.ndarray:
-    """Synthesize the MN critically-sampled time samples from DD symbols.
-    This is modulate_batch on a batch of one frame."""
-    return modulate_batch(params.frame(x)[None], params)[0]
-
-
-def modulate_batch(X, params: FrameParams) -> np.ndarray:
-    """modulate of every row of X, in one FFT call for the stack; each
-    row's samples are bit for bit those it gets alone."""
-    X = params.frames(X)
-    F, N, M = len(X), params.N, params.M
-    return np.fft.fft(X.reshape(F, N, M), axis=1).reshape(F, params.size)
+    """Synthesize the MN critically-sampled time samples from DD symbols,
+    of one frame or of every row of a stack in one FFT call; each row's
+    samples are bit for bit those it gets alone."""
+    X = params.frames(x)
+    return np.fft.fft(X.reshape(-1, params.N, params.M), axis=1).reshape(X.shape)
 
 
 def demodulate(r, params: FrameParams) -> np.ndarray:
-    """Recover DD symbols from time samples; exact inverse of modulate.
-    This is demodulate_batch on a batch of one frame."""
-    return demodulate_batch(params.frame(r, "samples")[None], params)[0]
-
-
-def demodulate_batch(R, params: FrameParams) -> np.ndarray:
-    """demodulate of every row of R, in one inverse FFT call."""
-    R = params.frames(R, "samples")
-    F, N, M = len(R), params.N, params.M
-    return np.fft.ifft(R.reshape(F, N, M), axis=1).reshape(F, params.size)
+    """Recover DD symbols from time samples, of one frame or of every row
+    of a stack in one inverse FFT call; exact inverse of modulate."""
+    R = params.frames(r, "samples")
+    return np.fft.ifft(R.reshape(-1, params.N, params.M), axis=1).reshape(R.shape)
 
 
 def fourier_matrix(N: int) -> np.ndarray:

@@ -147,9 +147,9 @@ def greedy_precode_batch(U, params: FrameParams, cfg: GreedyConfig) -> list[Prec
     Each frame's result is the one it gets alone: the frames share
     passes, never arithmetic.
     """
-    U = params.frames(U)
-    for u in U:
-        _base_amplitude(u)
+    U = np.asarray(U, dtype=complex)
+    for u in np.atleast_1d(U):  # a lone frame's rows are symbols, not frames
+        _base_amplitude(params.frame(u))
     M, N, MN = params.M, params.N, params.size
     cap = np.inf if cfg.max_iter == 0 else cfg.max_iter
     W = fourier_matrix(N).conj()

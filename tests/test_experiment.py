@@ -1,5 +1,6 @@
 """Experiment runners: determinism, CSV schemas, and end-to-end sanity."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from otfs_papr import ExperimentConfig, ParameterError, experiment
 from otfs_papr.experiment import (FRAME_CHUNK_SYMBOLS, csv_body,
-                                  draw_info_vector, frame_rng,
+                                  draw_info_batch, frame_rng,
                                   render_ccdf_curve_csv,
                                   render_ccdf_samples_csv,
                                   render_error_rate_csv, render_scaling_csv,
@@ -82,6 +83,16 @@ class TestTransmitDispatch:
         for method in ("none", "proposed", "companding", "icf", "dft"):
             tx = transmit(u, method, cfg, precoded.x_star)
             assert tx.s.shape == (params.size,)
+
+    def test_proposed_x_star_must_have_the_shape_of_u(self):
+        cfg = ExperimentConfig(M=4, N=4)
+        U = np.ones((3, 16), complex)
+        for u, x_star, got in [(U, U[:2], r"shape \(2, 16\)"),
+                               (U[0], U[0, :15], r"shape \(15,\)"),
+                               (U[0], None, "none")]:
+            match = rf"proposed needs x_star of u's shape {re.escape(str(u.shape))}, got {got}"
+            with pytest.raises(ParameterError, match=match):
+                transmit(u, "proposed", cfg, x_star)
 
     def test_unknown_method_rejected(self):
         cfg = ExperimentConfig(M=2, N=2)
@@ -284,7 +295,7 @@ class TestFrameChunks:
                 result = run_ccdf(cfg, method)
                 assert chunk_sizes == (sizes if method == "proposed" else [])
                 for f, value in enumerate(result.samples_db):
-                    _, e = draw_info_vector(cfg, frame_rng(cfg.seed, f))
+                    e = draw_info_batch(cfg, [frame_rng(cfg.seed, f)])[1][0]
                     precoded = greedy_precode(e, cfg.params, cfg.greedy)
                     tx = transmit(A * e, method, cfg, A * precoded.x_star)
                     assert value == papr(tx.s).value_db
@@ -325,13 +336,13 @@ class TestFrameChunks:
         companding and 81 for icf."""
         cfg = ExperimentConfig(M=M, N=N)
         rngs = [frame_rng(5, f) for f in range(FRAME_CHUNK_SYMBOLS // cfg.params.size)]
-        E = experiment.draw_info_batch(cfg, rngs)[1]
+        E = draw_info_batch(cfg, rngs)[1]
         X = 2 * E
         for method in TestRunErrorRate.ALL_METHODS.split(","):
-            experiment.transmit_batch(E[:1], method, cfg, X[:1])  # warm up numpy
+            transmit(E[:1], method, cfg, X[:1])  # warm up numpy
             tracemalloc.start()
             try:
-                experiment.transmit_batch(E, method, cfg, X)
+                transmit(E, method, cfg, X)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -345,4 +356,4 @@ class TestFrameChunks:
         assert chunk_sizes == [6, 1]
         for f, (_, u, _) in enumerate(frames):
             assert u.flags.owndata
-            assert np.array_equal(u, draw_info_vector(cfg, frame_rng(cfg.seed, f))[1])
+            assert np.array_equal(u, draw_info_batch(cfg, [frame_rng(cfg.seed, f)])[1][0])

@@ -7,27 +7,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfs_papr import (DftSpreadConfig, FrameParams, GreedyConfig, IcfConfig,
-                       ParameterError, PskAlphabet, UnsupportedModulationError,
-                       brute_force_precode, demodulate, detect_symbols,
-                       dft_despread, dft_spread, greedy_precode, icf,
-                       map_bits_to_symbols, modulate, symbols_to_bits,
-                       time_frequency_grid)
+from otfs_papr import (DftSpreadConfig, ExperimentConfig, FrameParams,
+                       GreedyConfig, IcfConfig, ParameterError, PskAlphabet,
+                       UnsupportedModulationError, brute_force_precode,
+                       demodulate, detect_symbols, dft_despread, dft_spread,
+                       greedy_precode, icf, map_bits_to_symbols, modulate,
+                       papr, symbols_to_bits, time_frequency_grid)
+from otfs_papr.experiment import transmit
 
-# Every single-frame entry point, with what its frame holds.
+# Every entry point that takes a frame, with what its frame holds and
+# whether it takes a stack of frames, one a row, too.
 FRAME_ENTRY_POINTS = [
-    pytest.param(modulate, "symbols", id="modulate"),
-    pytest.param(demodulate, "samples", id="demodulate"),
-    pytest.param(time_frequency_grid, "symbols", id="time_frequency_grid"),
-    pytest.param(lambda s, p: icf(s, IcfConfig(4.0, 1, 4), p), "samples", id="icf"),
-    pytest.param(lambda u, p: dft_spread(u, DftSpreadConfig("delay"), p), "symbols",
-                 id="dft_spread"),
-    pytest.param(lambda x, p: dft_despread(x, DftSpreadConfig("delay"), p), "symbols",
-                 id="dft_despread"),
-    pytest.param(lambda u, p: greedy_precode(u, p, GreedyConfig(max_iter=0)), "symbols",
-                 id="greedy_precode"),
-    pytest.param(brute_force_precode, "symbols", id="brute_force_precode"),
+    ("modulate", modulate, "symbols", True),
+    ("demodulate", demodulate, "samples", True),
+    ("time_frequency_grid", time_frequency_grid, "symbols", False),
+    ("icf", lambda s, p: icf(s, IcfConfig(4.0, 1, 4), p), "samples", True),
+    ("dft_spread", lambda u, p: dft_spread(u, DftSpreadConfig("delay"), p), "symbols", True),
+    ("dft_despread", lambda x, p: dft_despread(x, DftSpreadConfig("delay"), p), "symbols",
+     True),
+    ("greedy_precode", lambda u, p: greedy_precode(u, p, GreedyConfig(max_iter=0)),
+     "symbols", False),
+    ("brute_force_precode", brute_force_precode, "symbols", False),
 ]
+SHAPES = [(11,), (13,), (1, 12), (12, 1)]
+
+
+def _transmitted(method):
+    """transmit under `method`, with 2u as the greedy search result."""
+    def run(u, p):
+        tx = transmit(u, method, ExperimentConfig(M=p.M, N=p.N), 2 * np.asarray(u))
+        return [tx.s] + ([] if tx.peak_reference is None else [tx.peak_reference])
+    return run
+
+
+# Every entry point that takes one frame or a stack, with what its frame
+# holds ("" where no frame size is checked); each returns its outputs.
+STACK_ENTRY_POINTS = [
+    pytest.param(lambda u, p: [modulate(u, p)], "symbols", id="modulate"),
+    pytest.param(lambda r, p: [demodulate(r, p)], "samples", id="demodulate"),
+    pytest.param(lambda s, p: [icf(s, IcfConfig(4.0, 3, 4), p)], "samples", id="icf"),
+    pytest.param(lambda u, p: [dft_spread(u, DftSpreadConfig("delay"), p)], "symbols",
+                 id="dft_spread-delay"),
+    pytest.param(lambda u, p: [dft_spread(u, DftSpreadConfig("doppler"), p)], "symbols",
+                 id="dft_spread-doppler"),
+    pytest.param(lambda x, p: [dft_despread(x, DftSpreadConfig("delay"), p)], "symbols",
+                 id="dft_despread"),
+    pytest.param(lambda s, p: [papr(s).value_linear, papr(s).value_db], "", id="papr"),
+] + [pytest.param(_transmitted(method), "symbols", id=f"transmit-{method}")
+     for method in ("none", "proposed", "companding", "icf", "dft")]
 
 
 class TestFrameParams:
@@ -50,13 +77,44 @@ class TestFrameParams:
         assert x.dtype == complex and x.shape == (4,)
         assert x.tolist() == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("shape", [(11,), (13,), (1, 12), (12, 1)])
-    @pytest.mark.parametrize("entry_point, what", FRAME_ENTRY_POINTS)
-    def test_entry_points_reject_any_other_shape(self, entry_point, what, shape):
+    # A (1, 12) stack is one frame to the entry points that take a stack.
+    @pytest.mark.parametrize("entry_point, what, stacks, shape", [
+        pytest.param(fn, what, stacks, shape, id=f"{name}-shape{i}")
+        for name, fn, what, stacks in FRAME_ENTRY_POINTS
+        for i, shape in enumerate(SHAPES) if not (stacks and shape == (1, 12))])
+    def test_entry_points_reject_any_other_shape(self, entry_point, what, stacks, shape):
         p = FrameParams(M=3, N=4)  # MN = 12
-        match = f"expected {p.size} {what}, got shape {re.escape(str(shape))}"
+        frames = "frames of " if stacks else ""
+        match = f"expected {frames}{p.size} {what}, got shape {re.escape(str(shape))}"
         with pytest.raises(ParameterError, match=match):
             entry_point(np.ones(shape), p)
+
+    @pytest.mark.parametrize("M, N", [(3, 5), (1, 12), (16, 16)])
+    @pytest.mark.parametrize("entry_point, what", STACK_ENTRY_POINTS)
+    def test_stack_rows_are_their_lone_frames(self, entry_point, what, M, N):
+        """Each row of a stack of 1 to 5 frames, a (1, MN) stack among
+        them, comes out bit for bit as that frame alone."""
+        p = FrameParams(M=M, N=N)
+        rng = np.random.default_rng(M * N)
+        for F in range(1, 6):
+            X = rng.standard_normal((F, p.size)) + 1j * rng.standard_normal((F, p.size))
+            stacked = entry_point(X, p)
+            for f in range(F):
+                lone = entry_point(X[f], p)
+                assert [np.shape(a) for a in lone] == [np.shape(a[f]) for a in stacked]
+                assert [np.asarray(a).tobytes() for a in lone] == \
+                    [a[f].tobytes() for a in stacked]
+        if p.size != 12:
+            return
+        if what:
+            cases = [(shape, f"expected frames of 12 {what}, got shape {re.escape(str(shape))}")
+                     for shape in [(11,), (13,), (12, 1), (2, 13), (1, 1, 12)]]
+        else:  # papr reads a frame, or a stack of frames, of any size
+            cases = [((1, 1, 12), r"expected a frame or a stack of frames, one a row, "
+                                  r"got shape \(1, 1, 12\)")]
+        for shape, match in cases:
+            with pytest.raises(ParameterError, match=match):
+                entry_point(np.ones(shape), p)
 
 
 class TestPskAlphabet:

@@ -412,8 +412,9 @@ def test_batch_rejects_rows_of_the_wrong_size_or_amplitude():
     p, cfg = FrameParams(M=2, N=2), GreedyConfig(max_iter=5)
     with pytest.raises(ParameterError):
         greedy_precode_batch(np.ones((3, 5), complex), p, cfg)
-    with pytest.raises(ParameterError):
-        greedy_precode_batch(np.ones(4, complex), p, cfg)
+    for lone in (np.ones(4, complex), np.complex128(1)):
+        with pytest.raises(ParameterError):
+            greedy_precode_batch(lone, p, cfg)
     U = np.ones((2, 4), complex)
     U[1, 3] = 2.0
     with pytest.raises(ParameterError):
