@@ -239,14 +239,15 @@ def unit_noise(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def add_noise(r, sigma2: float, w) -> np.ndarray:
-    """A new array: r plus the unit noise w (unit_noise) scaled to
-    per-sample variance sigma2.  At sigma2 = 0 the scaled noise is exact
-    zeros, so the values are r's."""
+def add_noise(r, sigma2, w) -> np.ndarray:
+    """A new array: r, one frame or a stack, plus the unit noise w
+    (unit_noise) scaled to per-sample variance sigma2, one a row.  At
+    sigma2 = 0 the scaled noise is exact zeros, so the values are r's."""
     r = np.asarray(r, dtype=complex)
-    if sigma2 < 0:
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.any(sigma2 < 0):
         raise ParameterError(f"noise variance must be >= 0, got {sigma2}")
-    return r + np.sqrt(sigma2 / 2.0) * w
+    return r + np.sqrt(sigma2 / 2.0)[..., None] * w
 
 
 def finite_noise(snr_db: float) -> bool:
@@ -259,29 +260,33 @@ def finite_noise(snr_db: float) -> bool:
         return False
 
 
-def calibrate_noise(snr_db: float, r) -> float:
-    """Per-sample noise variance from the received frame's mean power.
+def calibrate_noise(snr_db: float, r):
+    """Per-sample noise variance from the received mean power of one
+    frame, as a float, or of each row of a stack of frames, one a row.
 
-    SNR is referenced at the receiver: sigma2 = mean|r|^2 / 10^(snr/10).
-    An infinite snr_db, and any above about 3,083 dB, where 10^(snr/10)
-    overflows, yields exactly zero noise.  An snr_db without a finite
-    noise variance (finite_noise), or whose variance overflows against
-    this frame's power, raises ParameterError.
+    SNR is referenced at the receiver: sigma2 = mean|r|^2 / 10^(snr/10),
+    with 10^(snr/10) taken once, on the Python float snr_db, for every
+    row.  An infinite snr_db, and any above about 3,083 dB, where
+    10^(snr/10) overflows, yields exactly zero noise.  An snr_db without
+    a finite noise variance (finite_noise), or whose variance overflows
+    against a frame's power, raises ParameterError.
     """
     if not finite_noise(snr_db):
         raise ParameterError(
             f"snr_db must not be NaN, -inf or below about -3082.5 dB, where "
             f"the noise power overflows; got {snr_db}")
     r = np.asarray(r, dtype=complex)
-    power = float(np.mean(np.abs(r) ** 2))
-    if power == 0:
+    power = np.mean(np.abs(r) ** 2, axis=-1)
+    if np.any(power == 0):
         raise ParameterError("cannot calibrate noise against an all-zero frame")
     try:
-        sigma2 = power / 10.0 ** (snr_db / 10.0)
+        ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
-        return 0.0
-    if sigma2 == math.inf:
+        ratio = math.inf
+    with np.errstate(over="ignore"):
+        sigma2 = power / ratio
+    if np.any(sigma2 == math.inf):
         raise ParameterError(
             f"snr_db = {snr_db} gives an infinite noise variance against a "
-            f"received power of {power:.6g}")
-    return sigma2
+            f"received power of {np.max(power):.6g}")
+    return float(sigma2) if r.ndim == 1 else sigma2

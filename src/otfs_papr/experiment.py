@@ -11,15 +11,15 @@ these common draws, so a point's rows are those of a run at that point
 alone.  Every method runs on the same drawn frames, channels and noise,
 so methods are compared on identical inputs.
 
-One transmit stage, `_chunks`, serves every runner: it takes frames in
-chunks and runs each transmit-side stage once a chunk, on the stack of
-the chunk's frames, one a row: the draw's Gray mapping, the lockstep
-greedy search and each method's transmit path.  Each stage is one
-function that takes one frame or a stack.  ccdf and scaling-table runs
-then read each chunk's PAPR in one papr call.  Error-rate and Doppler
-sweeps take each chunk frame by frame (`_frames`): the channel, noise,
-receiver and detection run once a frame, on the stack of the frame's
-methods (and, in the receiver, of its methods at every SNR).
+Every runner takes its frames in chunks from `_chunks` and runs each
+stage of the chain once on a stack, one frame or one receive row a row;
+each stage is one function that takes one frame or a stack.  A chunk is
+drawn, Gray-mapped, greedy-searched in lockstep and transmitted by each
+method in one call a stage; ccdf and scaling-table runs then read its
+PAPR in one papr call.  Error-rate and Doppler sweeps take the chunk's
+frames in turn: the channel runs on the stack of a frame's methods, and
+noise, expansion, the receiver, despreading and detection each run once
+on the stack of its (SNR, method) rows.
 """
 
 import datetime
@@ -105,20 +105,6 @@ def _chunks(cfg: ExperimentConfig, methods, *point: int):
             X_star *= A
         E *= A  # the information vectors u
         yield rngs, E, [transmit(E, method, cfg, X_star) for method in methods]
-
-
-def _frames(cfg: ExperimentConfig, methods, *point: int):
-    """_chunks frame by frame: yield (substream, information vector, one
-    TransmitFrame per method) for each frame; the caller finishes the
-    frame before the next.  Each frame gets its own copies, so a frame
-    the caller still holds does not keep its chunk alive while the next
-    chunk is searched."""
-    for rngs, U, sent in _chunks(cfg, methods, *point):
-        for f, rng in enumerate(rngs):
-            yield rng, U[f].copy(), [
-                TransmitFrame(s=tx.s[f].copy(), peak_reference=(
-                    None if tx.peak_reference is None else float(tx.peak_reference[f])))
-                for tx in sent]
 
 
 @dataclass(frozen=True)
@@ -232,60 +218,57 @@ def _error_sweep(cfg: ExperimentConfig, nus, snrs) -> list:
 
     Frame f draws from frame_rng(seed, 0, f) for every sweep point: its
     information vector, its channel's gains and angles, and one
-    unit-noise vector w.  Each method transmits the frame once.  At each
-    maximum Doppler nu the channel is nu*cos(theta) with the frame's
-    gains and angles; its blocks are built once and the methods' frames
-    pass through it as one stack.  Each SNR scales w to its own noise
-    variance, referenced to the method's received power, and one
-    block_mmse_equalize call solves every (SNR, method) row; a row whose
-    solve fails skips that frame alone.  A profile with a delay tap at or
-    above MN, for which no receiver block size exists, fails before any
-    frame.
+    unit-noise vector w.  At each maximum Doppler nu the channel is
+    nu*cos(theta) with the frame's gains and angles, and the frame's
+    methods pass through it as one stack.  Each receive stage then runs
+    once on the stack of the frame's (SNR, method) rows, SNR-major: each
+    SNR scales w to its own noise variance, referenced to the method's
+    received power, and a row whose solve fails skips that frame alone.
+    A profile with a delay tap at or above MN, for which no receiver
+    block size exists, fails before any frame.
     """
     params, alphabet = cfg.params, cfg.alphabet
     profile = cfg.channel_profile
     if profile is not None:
         delay_taps(profile, params)  # raises where no block size exists
     methods = cfg.methods
-    rows = [(snr_db, i) for snr_db in snrs for i in range(len(methods))]
-    dft_rows = np.array([methods[i] == "dft" for _, i in rows])
-    counts = [ErrorCounts(0, 0, 0, 0)] * (len(nus) * len(rows))
-    skipped = [0] * len(counts)
-    clips = [0] * len(counts)
-    for rng, u, sent in _frames(cfg, methods, 0):
-        truth = detect_symbols(u, alphabet)
-        if profile is None:
-            channels = [identity_channel()] * len(nus)
-        else:
-            channels = sample_channels(profile, nus, params, rng)
-        w = unit_noise(params.size, rng)
-        s = np.array([tx.s for tx in sent])
-        for a, ch in enumerate(channels):
-            r0 = apply_channel(s, ch, params)
-            first = a * len(rows)  # counts index of this channel's first row
-            received, loading = [], []
-            for k, (snr_db, i) in enumerate(rows, first):
-                sigma2 = calibrate_noise(snr_db, r0[i])
-                r = add_noise(r0[i], sigma2, w)
-                if methods[i] == "companding":
-                    clips[k] += clip_count(r, sent[i].peak_reference)
-                    r = mu_expand(r, cfg.companding, sent[i].peak_reference)
-                received.append(r)
-                loading.append(dd_noise_variance(sigma2, params) / alphabet.A ** 2)
-            z = block_mmse_equalize(channel_blocks(ch, params), np.array(received),
-                                    np.array(loading))
-            x_hat = demodulate(z, params)
-            x_hat[dft_rows] = dft_despread(x_hat[dft_rows], cfg.dft, params)
-            for k, x_k in enumerate(x_hat, first):
-                if np.isnan(x_k[0]):  # the receiver failed on this row's frame
-                    skipped[k] += 1
-                    continue
-                counts[k] = counts[k] + count_errors(detect_symbols(x_k, alphabet),
-                                                     truth, alphabet)
-    return [ErrorRatePoint(method=methods[i], snr_db=snr_db, nu_max_hz=nu,
-                           frames=cfg.frames - skipped[k], counts=counts[k],
-                           skipped_frames=skipped[k], expander_clips=clips[k])
-            for k, (nu, (snr_db, i)) in enumerate(itertools.product(nus, rows))]
+    names = np.tile(methods, len(snrs))  # each row's method
+    expand, dft_rows = names == "companding", names == "dft"
+    counts = np.full((len(nus), len(names)), ErrorCounts(0, 0, 0, 0), dtype=object)
+    skipped = np.zeros(counts.shape, dtype=int)
+    clips = np.zeros(counts.shape, dtype=int)
+    for rngs, U, sent in _chunks(cfg, methods, 0):
+        for f, rng in enumerate(rngs):
+            truth = detect_symbols(U[f], alphabet)
+            if profile is None:
+                channels = [identity_channel()] * len(nus)
+            else:
+                channels = sample_channels(profile, nus, params, rng)
+            w = unit_noise(params.size, rng)
+            s = np.array([tx.s[f] for tx in sent])
+            for a, ch in enumerate(channels):
+                r0 = apply_channel(s, ch, params)
+                sigma2 = np.concatenate([calibrate_noise(snr_db, r0) for snr_db in snrs])
+                r = add_noise(np.tile(r0, (len(snrs), 1)), sigma2, w)
+                if expand.any():  # one peak reference serves every companding row
+                    V = sent[methods.index("companding")].peak_reference[f]
+                    for j in np.flatnonzero(expand):
+                        clips[a, j] += clip_count(r[j], V)
+                    r[expand] = mu_expand(r[expand], cfg.companding, V)
+                z = block_mmse_equalize(channel_blocks(ch, params), r,
+                                        dd_noise_variance(sigma2, params) / alphabet.A ** 2)
+                x_hat = demodulate(z, params)
+                x_hat[dft_rows] = dft_despread(x_hat[dft_rows], cfg.dft, params)
+                ok = ~np.isnan(x_hat[:, 0])  # False where the receiver failed
+                skipped[a] += ~ok
+                counts[a, ok] += count_errors(detect_symbols(x_hat[ok], alphabet),
+                                              truth, alphabet)
+    points = itertools.product(nus, snrs, methods)
+    return [ErrorRatePoint(method=method, snr_db=snr_db, nu_max_hz=nu,
+                           frames=cfg.frames - n_skipped, counts=c,
+                           skipped_frames=n_skipped, expander_clips=n_clips)
+            for (nu, snr_db, method), c, n_skipped, n_clips in zip(
+                points, counts.flat, skipped.ravel().tolist(), clips.ravel().tolist())]
 
 
 def run_error_rate(cfg: ExperimentConfig) -> ErrorRateResult:

@@ -18,6 +18,12 @@ class PaprSample:
     value_linear: float | np.ndarray
     value_db: float | np.ndarray
 
+    def __eq__(self, other):
+        """Equal values, for a frame and for a stack alike."""
+        return isinstance(other, PaprSample) and all(map(
+            np.array_equal, (self.value_linear, self.value_db),
+            (other.value_linear, other.value_db)))
+
 
 @dataclass(frozen=True)
 class CcdfCurve:

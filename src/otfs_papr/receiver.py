@@ -49,14 +49,15 @@ class ErrorCounts:
                            self.bit_errors + other.bit_errors)
 
 
-def dd_noise_variance(sigma2_td: float, params: FrameParams) -> float:
-    """Per-element DD-domain noise variance after demodulation.
+def dd_noise_variance(sigma2_td, params: FrameParams):
+    """Per-element DD-domain noise variance after demodulation, of each
+    time-domain variance sigma2_td (a number, or one a row).
 
     The analysis transform is (1/N) times an N-scaled unitary map, so
     white time-domain noise of variance sigma2 stays white with variance
     sigma2/N.
     """
-    if sigma2_td < 0:
+    if np.any(np.asarray(sigma2_td) < 0):
         raise ParameterError(f"sigma2_td must be >= 0, got {sigma2_td}")
     return sigma2_td / params.N
 
@@ -219,15 +220,19 @@ def _bordered_thomas(blocks: ChannelBlocks, r, loading) -> np.ndarray:
     return z.reshape(S, J * b)
 
 
-def count_errors(detected, truth, alphabet: PskAlphabet) -> ErrorCounts:
-    """Symbol and Gray-label bit errors between two index sequences."""
+def count_errors(detected, truth, alphabet: PskAlphabet):
+    """Symbol and Gray-label bit errors against truth of one index
+    sequence, as an ErrorCounts, or of each row of a stack, as a list of
+    them; every count is a Python int."""
     detected = np.asarray(detected, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
-    if detected.shape != truth.shape:
+    if detected.ndim not in (1, 2) or detected.shape[-1:] != truth.shape:
         raise ParameterError(
             f"length mismatch: {detected.shape} vs {truth.shape}")
-    diff = gray_encode(detected) ^ gray_encode(truth)
-    return ErrorCounts(symbols=detected.size,
-                       symbol_errors=int(np.count_nonzero(detected != truth)),
-                       bits=detected.size * alphabet.bits_per_symbol,
-                       bit_errors=int(np.bitwise_count(diff).sum()))
+    rows = np.atleast_2d(detected)
+    symbol_errors = np.count_nonzero(rows != truth, axis=1)
+    bit_errors = np.bitwise_count(gray_encode(rows) ^ gray_encode(truth)).sum(axis=1)
+    bits = truth.size * alphabet.bits_per_symbol
+    counts = [ErrorCounts(truth.size, e, bits, b)
+              for e, b in zip(symbol_errors.tolist(), bit_errors.tolist())]
+    return counts[0] if detected.ndim == 1 else counts

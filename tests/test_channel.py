@@ -285,3 +285,18 @@ class TestNoiseCalibration:
     def test_all_zero_frame_rejected(self):
         with pytest.raises(ParameterError):
             calibrate_noise(10.0, np.zeros(4, complex))
+        with pytest.raises(ParameterError, match="all-zero frame"):
+            calibrate_noise(10.0, np.array([np.ones(4), np.zeros(4)], complex))
+
+    def test_stack_rows_over_a_dense_snr_grid(self):
+        """Each row's variance is its mean power over 10 ** (snr_db / 10)
+        taken on the Python float snr_db, bit for bit, at every SNR of a
+        dense grid; numpy's array power differs from it in the last bit
+        at some SNRs on SIMD hosts."""
+        rng = np.random.default_rng(17)
+        R = rng.standard_normal((5, 60)) + 1j * rng.standard_normal((5, 60))
+        power = [float(np.mean(np.abs(r) ** 2)) for r in R]
+        for snr_db in np.arange(-30.0, 40.0, 0.37).tolist():
+            expected = [pw / 10.0 ** (snr_db / 10.0) for pw in power]
+            assert calibrate_noise(snr_db, R).tolist() == expected
+            assert [calibrate_noise(snr_db, r) for r in R] == expected

@@ -182,7 +182,7 @@ class TestRunDopplerSweep:
         default = run_doppler_sweep(replace(cfg, snr_db_list=()), nu_max_list=(0.0,))
         assert default.config.snr_db_list == (18.0,)
         calls = []
-        monkeypatch.setattr(experiment, "_frames", lambda *a: calls.append(a))
+        monkeypatch.setattr(experiment, "_chunks", lambda *a: calls.append(a))
         with pytest.raises(ParameterError):
             run_doppler_sweep(replace(cfg, snr_db_list=(5.0, 10.0)))
         assert calls == []
@@ -347,13 +347,3 @@ class TestFrameChunks:
             finally:
                 tracemalloc.stop()
             assert peak <= 100 * E.size, method
-
-    def test_each_frame_owns_its_information_vector(self, chunk_sizes):
-        """A frame the caller keeps is its own array, not a row of its
-        chunk, so it does not keep the chunk alive."""
-        cfg = ExperimentConfig(M=4, N=4, frames=7, seed=23, method="proposed")
-        frames = list(experiment._frames(cfg, cfg.methods))
-        assert chunk_sizes == [6, 1]
-        for f, (_, u, _) in enumerate(frames):
-            assert u.flags.owndata
-            assert np.array_equal(u, draw_info_batch(cfg, [frame_rng(cfg.seed, f)])[1][0])

@@ -1,18 +1,22 @@
 """Frame parameters, alphabets, Gray mapping and phase detection."""
 
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otfs_papr import (DftSpreadConfig, ExperimentConfig, FrameParams,
-                       GreedyConfig, IcfConfig, ParameterError, PskAlphabet,
-                       UnsupportedModulationError, brute_force_precode,
-                       demodulate, detect_symbols, dft_despread, dft_spread,
-                       greedy_precode, icf, map_bits_to_symbols, modulate,
-                       papr, symbols_to_bits, time_frequency_grid)
+from otfs_papr import (CompandingConfig, DftSpreadConfig, ExperimentConfig,
+                       FrameParams, GreedyConfig, IcfConfig, ParameterError,
+                       PskAlphabet, UnsupportedModulationError,
+                       brute_force_precode, calibrate_noise, count_errors,
+                       dd_noise_variance, demodulate, detect_symbols,
+                       dft_despread, dft_spread, greedy_precode, icf,
+                       map_bits_to_symbols, modulate, mu_expand, papr,
+                       symbols_to_bits, time_frequency_grid)
+from otfs_papr.channel import add_noise, unit_noise
 from otfs_papr.experiment import transmit
 
 # Every entry point that takes a frame, with what its frame holds and
@@ -40,8 +44,22 @@ def _transmitted(method):
     return run
 
 
+def _errors(z, p):
+    """count_errors of z's detected QPSK indices against one truth, as
+    an array of the counts, one row an ErrorCounts; every count must be
+    a Python int."""
+    qpsk = PskAlphabet(D=4)
+    truth = detect_symbols(np.exp(0.3j * np.arange(p.size)), qpsk)
+    counts = count_errors(detect_symbols(z, qpsk), truth, qpsk)
+    rows = [astuple(c) for c in (counts if isinstance(counts, list) else [counts])]
+    assert all(type(v) is int for row in rows for v in row)
+    return [np.array(rows[0] if np.ndim(z) == 1 else rows)]
+
+
 # Every entry point that takes one frame or a stack, with what its frame
-# holds ("" where no frame size is checked); each returns its outputs.
+# holds ("" where no frame size is checked, None where no shape is
+# refused); each returns its outputs.  The noise stages take one variance
+# a row, here one read off the row.
 STACK_ENTRY_POINTS = [
     pytest.param(lambda u, p: [modulate(u, p)], "symbols", id="modulate"),
     pytest.param(lambda r, p: [demodulate(r, p)], "samples", id="demodulate"),
@@ -53,6 +71,17 @@ STACK_ENTRY_POINTS = [
     pytest.param(lambda x, p: [dft_despread(x, DftSpreadConfig("delay"), p)], "symbols",
                  id="dft_despread"),
     pytest.param(lambda s, p: [papr(s).value_linear, papr(s).value_db], "", id="papr"),
+    pytest.param(lambda r, p: [calibrate_noise(7.3, r)], None, id="calibrate_noise"),
+    pytest.param(lambda r, p: [add_noise(r, np.abs(r[..., 0]),
+                                         unit_noise(p.size, np.random.default_rng(p.size)))],
+                 None, id="add_noise"),
+    pytest.param(lambda r, p: [dd_noise_variance(np.abs(r[..., 0]), p)], None,
+                 id="dd_noise_variance"),
+    pytest.param(lambda s, p: [mu_expand(s, CompandingConfig(mu=4.0), 1.5)], None,
+                 id="mu_expand"),
+    pytest.param(lambda z, p: [detect_symbols(z, PskAlphabet(D=8))], None,
+                 id="detect_symbols"),
+    pytest.param(_errors, None, id="count_errors"),
 ] + [pytest.param(_transmitted(method), "symbols", id=f"transmit-{method}")
      for method in ("none", "proposed", "companding", "icf", "dft")]
 
@@ -104,7 +133,7 @@ class TestFrameParams:
                 assert [np.shape(a) for a in lone] == [np.shape(a[f]) for a in stacked]
                 assert [np.asarray(a).tobytes() for a in lone] == \
                     [a[f].tobytes() for a in stacked]
-        if p.size != 12:
+        if p.size != 12 or what is None:
             return
         if what:
             cases = [(shape, f"expected frames of 12 {what}, got shape {re.escape(str(shape))}")

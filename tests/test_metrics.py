@@ -44,6 +44,14 @@ class TestPapr:
         single[5] = 1.0
         assert papr(single).value_linear == pytest.approx(24.0)
 
+    def test_samples_compare_by_value_for_a_frame_and_a_stack(self):
+        S = np.ones((2, 4), complex)
+        S[1, 0] = 2
+        assert papr(S) == papr(S.copy())
+        assert papr(S) != papr(S[::-1])
+        assert papr(S[0]) == papr(S[0].copy())
+        assert papr(S[0]) != papr(S[1])
+
     def test_all_zero_frame_is_undefined(self):
         with pytest.raises(UndefinedPaprError):
             papr(np.zeros(8, complex))

@@ -1,7 +1,7 @@
 """MMSE equalization, DD noise tracking, and error counting."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -365,7 +365,7 @@ class TestBlockMmseEqualize:
 
     def test_delay_of_a_frame_fails_before_any_frame(self, monkeypatch):
         frames = []
-        monkeypatch.setattr(experiment, "_frames",
+        monkeypatch.setattr(experiment, "_chunks",
                             lambda *a: frames.append(a) or iter(()))
         # 300 us at 16 x 15 kHz is tap 72, beyond the frame's 64 samples.
         cfg = ExperimentConfig(M=16, N=4, frames=2, snr_db_list=(10.0,),
@@ -509,6 +509,19 @@ class TestCountErrors:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             count_errors([0, 1], [0], PskAlphabet(D=2))
+        with pytest.raises(ParameterError):
+            count_errors([[0, 1]], [0], PskAlphabet(D=2))
+
+    def test_stack_counts_each_row_against_one_truth(self):
+        """One ErrorCounts a row, of Python ints, each the row's lone
+        count, so rows compare and add as single counts do."""
+        detected = np.array([[0, 1, 2, 3], [3, 3, 3, 3], [2, 0, 0, 0]])
+        truth = [0, 1, 2, 3]
+        rows = count_errors(detected, truth, QPSK)
+        assert rows == [count_errors(d, truth, QPSK) for d in detected]
+        assert [(c.symbol_errors, c.bit_errors) for c in rows] == [(0, 0), (3, 4), (4, 6)]
+        assert all(type(v) is int for c in rows for v in astuple(c))
+        assert count_errors(detected[:0], truth, QPSK) == []
 
     @pytest.mark.parametrize("D", [2, 4, 512, 65536])
     def test_bit_errors_match_the_bit_mapping(self, D):
