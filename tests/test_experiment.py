@@ -61,6 +61,12 @@ class TestRunCcdf:
         proposed = run_ccdf(cfg, method="proposed")
         assert np.all(proposed.samples_db <= none.samples_db + 1e-9)
 
+    def test_two_methods_need_a_method_argument(self):
+        cfg = ExperimentConfig(method="none,proposed", **SMALL)
+        with pytest.raises(ParameterError, match="ccdf takes exactly one method"):
+            run_ccdf(cfg)
+        assert run_ccdf(cfg, method="none").method == "none"
+
     def test_proposed_does_not_depend_on_amplitude(self):
         """The greedy search runs on the unit ring, so every frame flips
         the same symbols at any amplitude."""

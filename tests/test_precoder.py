@@ -13,6 +13,8 @@ from otfs_papr import (CorruptedStateError, FrameParams, GreedyConfig,
                        brute_force_precode, candidate_flip, detect_symbols,
                        greedy_precode, greedy_precode_batch, modulate,
                        papr)
+from otfs_papr.modem import fourier_matrix
+from otfs_papr.precoder import _column_stats
 
 
 def random_psk_frame(params, D, seed, A=1.0):
@@ -354,12 +356,107 @@ def test_runner_chunks_give_every_frame_its_lone_result(M, N, batch, max_iter):
         assert {r.iterations_used for r in results} == {3}
 
 
-@pytest.mark.parametrize("M, N, batch", [(16, 16, 64), (64, 16, 16)])
+def one_flip_greedy(u, params, max_iter):
+    """Reference: the greedy kernel with one commit a pass, one frame at a
+    time, in the kernel's arithmetic (the pass before the level step).
+    Returns (x*, flips, iterations_used, PAPR)."""
+    M, N, MN = params.M, params.N, params.size
+    cap = np.inf if max_iter == 0 else max_iter
+    W = fourier_matrix(N).conj()
+    u = u.reshape(N, M)
+    ring = np.zeros((N, M), dtype=bool)
+    pw, cand_max = _column_stats(u, u, W)
+    p_star = MN * pw.max() / pw.sum()
+    e_up, flips = MN + 3.0, []
+    while len(flips) < cap:
+        col_max = pw.max(axis=0)
+        top2 = np.sort(col_max)[-2:]
+        other_max = 0.0 if M == 1 else np.where(col_max == top2[1], top2[0], top2[1])
+        p_cand = np.maximum(cand_max, other_max) / (e_up - 6.0 * ring)
+        t = int(p_cand.argmin())
+        if not p_cand.flat[t] < col_max.max() / (e_up - 3):
+            break
+        k, l = divmod(t, M)
+        ring[k, l] ^= True
+        uc, rc = u[:, l:l + 1], ring[:, l:l + 1]
+        pw[:, l:l + 1], cand_max[:, l:l + 1] = _column_stats(
+            np.where(rc, uc + uc, uc), np.where(rc, -uc, uc), W)
+        p_new = MN * pw.max() / pw.sum()
+        if not p_new < p_star:  # an ulp-level tie: undo and stop
+            ring[k, l] ^= True
+            break
+        p_star, flips = p_new, flips + [t]
+        e_up += 3 if ring[k, l] else -3
+    return np.where(ring, u + u, u).reshape(MN), flips, min(len(flips) + 1, cap), p_star
+
+
+def structured_frames(rng, M, N, batch, D, kind):
+    """PSK frames that are random (kind 0) or have repeated Doppler rows
+    (1), repeated delay columns (2), a right half of columns that repeats
+    the left (3) or a lower half of rows that repeats the upper (4): their
+    exact ties and near-ties (band candidates) exercise the level step."""
+    idx = rng.integers(0, D, (batch, N, M))
+    if kind == 1:
+        idx[:] = idx[:, :1, :]
+    elif kind == 2:
+        idx[:] = idx[:, :, :1]
+    elif kind == 3:
+        idx[:, :, M // 2:] = idx[:, :, :M - M // 2]
+    elif kind == 4:
+        idx[:, N // 2:, :] = idx[:, :N - N // 2, :]
+    return np.exp(2j * np.pi * idx / D).reshape(batch, M * N)
+
+
+# (M, N, D, kind, seed) of frames that a level step gets wrong without
+# one of its checks: the unique peak column's flips (a level commit lowers
+# the second-highest column), band candidates, a column that reaches the
+# peak, and a shared peak's ties.
+LEVEL_CHECK_FRAMES = [
+    (40, 8, 8, 0, 329477118), (40, 8, 8, 3, 1872155991),
+    (64, 4, 8, 0, 807128155), (33, 8, 4, 3, 523674918),
+    (48, 6, 4, 0, 727213296),
+    (33, 6, 2, 0, 1530920181),
+]
+
+
+@pytest.mark.parametrize("M, N", [(1, 5), (3, 7), (5, 5), (2, 16), (16, 4),
+                                  (31, 4), (32, 8), (33, 5), (47, 6), (64, 8),
+                                  (64, 3)])
+def test_level_passes_match_the_one_flip_reference(M, N):
+    """Every frame gets bit for bit the x*, flips, pass count and PAPR of
+    the one-commit-a-pass search, on random and structured batches."""
+    p = FrameParams(M=M, N=N)
+    rng = np.random.default_rng(M * 100 + N)
+    cases = [(rng.choice([2, 4, 8]), max_iter, kind)
+             for max_iter, kind in [(0, 0), (0, rng.integers(1, 5)), (3, rng.integers(5)),
+                                    (17, rng.integers(5))]]
+    for D, max_iter, kind in cases:
+        U = structured_frames(rng, M, N, 3, D, kind)
+        for u, r in zip(U, greedy_precode_batch(U, p, GreedyConfig(max_iter=max_iter))):
+            x, flips, used, value = one_flip_greedy(u, p, max_iter)
+            assert r.flips == flips, (D, max_iter, kind)
+            assert r.x_star.tobytes() == x.tobytes()
+            assert r.iterations_used == used
+            assert r.papr_star.value_linear == value
+
+
+@pytest.mark.parametrize("M, N, D, kind, seed", LEVEL_CHECK_FRAMES)
+def test_level_checks_keep_the_one_flip_result(M, N, D, kind, seed):
+    p = FrameParams(M=M, N=N)
+    u = structured_frames(np.random.default_rng(seed), M, N, 1, D, kind)[0]
+    r = greedy_precode(u, p, GreedyConfig(max_iter=0))
+    x, flips, used, value = one_flip_greedy(u, p, 0)
+    assert (r.flips, r.iterations_used, r.papr_star.value_linear) == (flips, used, value)
+    assert r.x_star.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("M, N, batch", [(16, 16, 64), (64, 16, 16), (64, 16, 4)])
 def test_batch_peak_allocation_stays_under_100_bytes_a_symbol(M, N, batch):
     """The search state is a ring mask plus two float grids (17 bytes a
-    symbol), and a pass's temporaries are built in place, so the kernel's
-    peak allocation above its input (about 51 bytes a symbol at 16x16)
-    stays under 100 bytes a symbol."""
+    symbol), a pass's temporaries are built in place and each column
+    refresh call is sized to the batch, so the kernel's peak allocation
+    above its input (about 49 bytes a symbol at 16x16, 70 at 64x16 with
+    B = 4) stays under 100 bytes a symbol."""
     p = FrameParams(M=M, N=N)
     rng = np.random.default_rng(5)
     U = np.exp(2j * np.pi * rng.integers(0, 4, (batch, p.size)) / 4)
